@@ -24,7 +24,8 @@ type FaultView struct {
 	// Clusters are the integer cluster hypervectors C_i (nil when k = 1).
 	Clusters []hdc.Vector
 	// ClustersBin are the binary cluster shadows C_i^b (binary cluster
-	// modes only).
+	// modes only): row views of the model's contiguous cluster slab, so a
+	// bit flipped here is a bit the k-way Hamming search reads.
 	ClustersBin []*hdc.Binary
 	// Models are the integer regression hypervectors M_i.
 	Models []hdc.Vector
@@ -64,13 +65,10 @@ func (m *Model) Clone() *Model {
 		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
 	}
 	c.clusters = cloneVectors(m.clusters)
-	c.clustersBin = cloneBinaries(m.clustersBin)
 	c.models = cloneVectors(m.models)
 	c.modelsBin = cloneBinaries(m.modelsBin)
 	c.modelScale = append([]float64(nil), m.modelScale...)
-	// clustersSet is only materialized on frozen Snapshots; a live clone
-	// must not alias one left in params by mistake.
-	c.clustersSet = nil
+	c.clustersSet, c.clustersBin = clusterSlab(m.clustersBin)
 	if m.assignN != nil {
 		c.assignN = append([]uint64(nil), m.assignN...)
 	}

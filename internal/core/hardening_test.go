@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"reghd/internal/hdc"
 )
 
 // trainedSmall returns a small trained multi-model fixture.
@@ -124,6 +128,22 @@ func TestLoadCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Structurally malformed checkpoints: they decode, but their stores do
+	// not match the configuration or the encoder's dimension.
+	bin := trainedSmall(t, Config{Models: 4, Epochs: 3, Seed: 3, ClusterMode: ClusterBinary, PredictMode: PredictBinaryBoth})
+	reshaped := func(edit func(*modelState)) []byte {
+		st := modelState{
+			Cfg: bin.cfg, Encoder: bin.enc, Clusters: bin.clusters, ClustersBin: bin.clustersBin,
+			Models: bin.models, ModelsBin: bin.modelsBin, ModelScale: bin.modelScale,
+			CalibA: bin.calibA, CalibB: bin.calibB, Trained: true,
+		}
+		edit(&st)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, tc := range []struct {
 		name  string
 		bytes []byte
@@ -131,6 +151,16 @@ func TestLoadCorruptFile(t *testing.T) {
 		{"truncated", raw[:len(raw)/2]},
 		{"empty", nil},
 		{"garbage", []byte("not a gob model at all")},
+		{"clusters-bin-wrong-dim", reshaped(func(st *modelState) {
+			st.ClustersBin = append([]*hdc.Binary{hdc.NewBinary(bin.dim + 1)}, st.ClustersBin[1:]...)
+		})},
+		{"clusters-bin-short", reshaped(func(st *modelState) { st.ClustersBin = st.ClustersBin[:2] })},
+		{"models-bin-short", reshaped(func(st *modelState) { st.ModelsBin = st.ModelsBin[:1] })},
+		{"model-scale-short", reshaped(func(st *modelState) { st.ModelScale = st.ModelScale[:3] })},
+		{"clusters-wrong-dim", reshaped(func(st *modelState) {
+			st.Clusters = append([]hdc.Vector{hdc.NewVector(bin.dim - 1)}, st.Clusters[1:]...)
+		})},
+		{"clusters-missing", reshaped(func(st *modelState) { st.Clusters = nil })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := filepath.Join(dir, tc.name)
@@ -165,13 +195,26 @@ func TestCloneIndependence(t *testing.T) {
 	if want != got {
 		t.Fatalf("clone predicts differently: %v vs %v", want, got)
 	}
-	// Corrupting the clone's stores must not move the original.
+	// Corrupting the clone's stores must not move the original — including
+	// the binary clusters, which live in a per-model slab: a slab shared by
+	// mistake would carry the clone's flips into the original's similarity
+	// search.
 	fv := c.FaultView()
 	for _, mb := range fv.ModelsBin {
 		mb.FlipBits([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	}
 	for _, cv := range fv.Clusters {
 		cv[0] += 1000
+	}
+	clusterBits := m.FaultView().ClustersBin[0].Clone()
+	for _, cb := range fv.ClustersBin {
+		cb.FlipBits([]int{0, 1, 2, 3, 64, 65, 128, 255})
+	}
+	if !m.FaultView().ClustersBin[0].Equal(clusterBits) {
+		t.Fatal("flipping the clone's binary clusters changed the original's")
+	}
+	if moved, err := c.Predict(x); err != nil || moved == want {
+		t.Fatalf("clone flips did not reach the clone's own prediction (%v, err %v)", moved, err)
 	}
 	after, err := m.Predict(x)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"reghd/internal/encoding"
 	"reghd/internal/hdc"
@@ -27,17 +26,20 @@ type params struct {
 	// nil they fall back to the allocating Encoder methods.
 	bufEnc encoding.BufferedEncoder
 
-	clusters    []hdc.Vector  // integer cluster hypervectors C_i
-	clustersBin []*hdc.Binary // binary shadows C_i^b (binary cluster modes)
-	models      []hdc.Vector  // integer regression hypervectors M_i
-	modelsBin   []*hdc.Binary // binary shadows M_i^b (binary model modes)
-	modelScale  []float64     // per-model magnitude ‖M_i‖₁/D for binary models
+	clusters   []hdc.Vector  // integer cluster hypervectors C_i
+	models     []hdc.Vector  // integer regression hypervectors M_i
+	modelsBin  []*hdc.Binary // binary shadows M_i^b (binary model modes)
+	modelScale []float64     // per-model magnitude ‖M_i‖₁/D for binary models
 
-	// clustersSet is the contiguous-slab layout of clustersBin for the
-	// blocked k-way Hamming kernel. Snapshot construction builds it from the
-	// frozen shadows; on the live Model it stays nil (clusters mutate during
-	// training) and similarity falls back to the per-*Binary kernel.
+	// clustersSet holds the binary cluster shadows C_i^b (binary cluster
+	// modes) in one contiguous slab for the blocked k-way Hamming kernel,
+	// and clustersBin[i] is row i of it as a view aliasing the slab, so the
+	// in-place writers (refreshBinaryShadows, voteBits, copyStateFrom,
+	// FaultView flips) update exactly what similarity reads. Both are nil
+	// when the configuration has no binary clusters; clusterSlab builds
+	// them.
 	clustersSet *hdc.BinarySet
+	clustersBin []*hdc.Binary
 
 	// calibA, calibB linearly recalibrate the deployment output of
 	// binary-model modes: binarizing M attenuates the readout by a factor
@@ -79,7 +81,7 @@ type Model struct {
 	base *syncBase
 
 	// sims and conf are the training-path scratch (cluster similarities
-	// and softmax confidences): predictTraining leaves them filled for the
+	// and softmax confidences): predictWith leaves them filled for the
 	// subsequent update, which is why the training loop — single-writer by
 	// contract — keeps shared buffers while Predict* uses pooled scratch.
 	sims, conf []float64
@@ -98,10 +100,10 @@ type Model struct {
 	InferCounter *hdc.Counter
 
 	// Stages, when non-nil, accumulates per-stage wall time
-	// (encode/similarity/readout) for every Predict call. StageTimes
-	// records atomically, so it does not affect Predict*'s concurrency
-	// safety — but install it before serving begins, not concurrently with
-	// predictions.
+	// (encode/similarity/readout) for every row predicted by Predict,
+	// PredictBatch, and PredictBatchParallel. StageTimes records
+	// atomically, so it does not affect Predict*'s concurrency safety — but
+	// install it before serving begins, not concurrently with predictions.
 	Stages *StageTimes
 }
 
@@ -187,16 +189,34 @@ func New(enc encoding.Encoder, cfg Config) (*Model, error) {
 			m.clusters[i] = hdc.RandomBipolar(m.rng, m.dim)
 		}
 		if cfg.ClusterMode != ClusterInteger {
-			m.clustersBin = make([]*hdc.Binary, cfg.Models)
-			for i := range m.clustersBin {
-				m.clustersBin[i] = hdc.Pack(nil, m.clusters[i])
+			packed := make([]*hdc.Binary, cfg.Models)
+			for i := range packed {
+				packed[i] = hdc.Pack(nil, m.clusters[i])
 			}
+			m.clustersSet, m.clustersBin = clusterSlab(packed)
 		}
 		m.sims = make([]float64, cfg.Models)
 		m.conf = make([]float64, cfg.Models)
 		m.assignN = make([]uint64, cfg.Models)
 	}
 	return m, nil
+}
+
+// clusterSlab copies binary cluster shadows into a fresh contiguous slab
+// and returns it with a new slice of row views aliasing it (nil, nil for
+// no shadows). New, Clone, Snapshot, and Load install the pair; every later
+// write goes through the row views, and since the copy is fresh, a model
+// never shares rows with the one it was cloned or snapshotted from.
+func clusterSlab(bs []*hdc.Binary) (*hdc.BinarySet, []*hdc.Binary) {
+	if bs == nil {
+		return nil, nil
+	}
+	set := hdc.NewBinarySet(bs)
+	rows := make([]*hdc.Binary, set.Len())
+	for i := range rows {
+		rows[i] = set.Row(i)
+	}
+	return set, rows
 }
 
 // Config returns the validated configuration.
@@ -296,11 +316,7 @@ func (p *params) clusterSimilaritiesInto(ctr *hdc.Counter, e encoded, sims []flo
 	case ClusterInteger:
 		hdc.CosineK(ctr, e.s, p.clusters, sims)
 	default: // ClusterBinary, ClusterNaiveBinary
-		if p.clustersSet != nil {
-			p.clustersSet.HammingSimilarityK(ctr, e.packed, sims)
-		} else {
-			hdc.HammingSimilarityK(ctr, e.packed, p.clustersBin, sims)
-		}
+		p.clustersSet.HammingSimilarityK(ctr, e.packed, sims)
 	}
 }
 
@@ -335,27 +351,18 @@ func (p *params) trainModelDot(ctr *hdc.Counter, e encoded, i int) float64 {
 	return hdc.DotBinaryDense(ctr, e.packed, p.models[i]) / d
 }
 
-// predictWith runs the prediction pipeline of Fig. 4 against the Model's
-// shared training scratch. It leaves the similarities/confidences in
-// m.sims/m.conf for the training update, so it must only be called from
-// single-writer training paths (predictTraining, RefreshShadows,
-// calibrate).
-func (m *Model) predictWith(ctr *hdc.Counter, e encoded, dot func(*hdc.Counter, encoded, int) float64) float64 {
-	return m.predictWithScratch(ctr, e, dot, m.sims, m.conf)
-}
-
-// predictWithScratch runs the prediction pipeline of Fig. 4 with the
-// supplied per-model dot kernel over caller-supplied similarity and
-// confidence buffers: cluster similarity search, softmax normalization, and
-// the confidence-weighted accumulation of all per-model outputs (Eq. 6).
-// With private buffers it is safe to run concurrently against frozen
-// params.
-func (p *params) predictWithScratch(ctr *hdc.Counter, e encoded, dot func(*hdc.Counter, encoded, int) float64, sims, conf []float64) float64 {
+// mix runs the Fig. 4 pipeline over an encoded sample: the Eq. 5 cluster
+// similarity search, softmax normalization, and the Eq. 6
+// confidence-weighted accumulation of the per-model dot kernel, leaving the
+// similarities and confidences in sims/conf. The search is timed as
+// StageSimilarity into tm (nil or idle: untimed).
+func (p *params) mix(ctr *hdc.Counter, tm *stageTimer, e encoded, dot func(*hdc.Counter, encoded, int) float64, sims, conf []float64) float64 {
 	if p.cfg.Models == 1 {
 		return dot(ctr, e, 0)
 	}
 	p.clusterSimilaritiesInto(ctr, e, sims)
 	hdc.Softmax(ctr, conf, sims, p.cfg.SoftmaxBeta)
+	tm.lap(StageSimilarity)
 	var y float64
 	for i := range p.models {
 		y += conf[i] * dot(ctr, e, i)
@@ -365,67 +372,36 @@ func (p *params) predictWithScratch(ctr *hdc.Counter, e encoded, dot func(*hdc.C
 	return y
 }
 
-// predictEncoded is the deployment prediction path (Eq. 6 plus the output
-// calibration of binary-model modes) over caller-supplied scratch.
-func (p *params) predictEncoded(ctr *hdc.Counter, e encoded, sims, conf []float64) float64 {
-	y := p.predictWithScratch(ctr, e, p.modelDot, sims, conf)
-	if p.cfg.PredictMode.UsesBinaryModel() {
-		y = p.calibA*y + p.calibB
-		ctr.Add(hdc.OpFloatMul, 1)
-		ctr.Add(hdc.OpFloatAdd, 1)
-	}
-	return y
-}
-
-// predictTraining is the training-time prediction path (integer model). It
-// fills the shared m.sims/m.conf for the subsequent update.
-func (m *Model) predictTraining(ctr *hdc.Counter, e encoded) float64 {
-	return m.predictWith(ctr, e, m.trainModelDot)
-}
-
-// encodeStaged is encodeScratch with the wall time recorded as StageEncode.
-func (p *params) encodeStaged(ctr *hdc.Counter, x []float64, sc *scratch, st *StageTimes) (encoded, error) {
-	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-	t0 := time.Now()
+// predict is the one per-row inference path behind Model.Predict,
+// Snapshot.Predict, and every batch path: encode x into sc's pooled
+// buffers, mix with the deployment kernel, and apply the output calibration
+// of binary-model modes. Ops are charged to ctr. A non-nil st receives the
+// encode, similarity, and readout stage times; with a nil st the clock is
+// never read.
+func (p *params) predict(ctr *hdc.Counter, st *StageTimes, x []float64, sc *scratch) (float64, error) {
+	tm := startStages(st)
 	e, err := p.encodeScratch(ctr, x, sc)
-	if err == nil {
-		//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-		st.Observe(StageEncode, time.Since(t0))
+	if err != nil {
+		return 0, err
 	}
-	return e, err
-}
-
-// predictStaged is predictEncoded with the similarity search and the
-// readout timed as separate stages. It must stay behaviorally identical to
-// predictEncoded/predictWithScratch (same kernels, same op-count charges);
-// only the timestamps differ.
-func (p *params) predictStaged(ctr *hdc.Counter, e encoded, sims, conf []float64, st *StageTimes) float64 {
-	var y float64
-	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-	t0 := time.Now()
-	if p.cfg.Models == 1 {
-		y = p.modelDot(ctr, e, 0)
-	} else {
-		p.clusterSimilaritiesInto(ctr, e, sims)
-		hdc.Softmax(ctr, conf, sims, p.cfg.SoftmaxBeta)
-		//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-		t1 := time.Now()
-		st.Observe(StageSimilarity, t1.Sub(t0))
-		t0 = t1
-		for i := range p.models {
-			y += conf[i] * p.modelDot(ctr, e, i)
-		}
-		ctr.Add(hdc.OpFloatMul, uint64(p.cfg.Models))
-		ctr.Add(hdc.OpFloatAdd, uint64(p.cfg.Models))
-	}
+	tm.lap(StageEncode)
+	y := p.mix(ctr, &tm, e, p.modelDot, sc.sims, sc.conf)
 	if p.cfg.PredictMode.UsesBinaryModel() {
 		y = p.calibA*y + p.calibB
 		ctr.Add(hdc.OpFloatMul, 1)
 		ctr.Add(hdc.OpFloatAdd, 1)
 	}
-	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
-	st.Observe(StageReadout, time.Since(t0))
-	return y
+	tm.lap(StageReadout)
+	return y, nil
+}
+
+// predictWith runs mix over the Model's shared training scratch, leaving
+// m.sims/m.conf filled for the training update, so only single-writer
+// training paths (Fit epochs, PartialFit, RefreshShadows, calibrate) may
+// call it. dot is trainModelDot for the update's prediction and modelDot
+// for the uncalibrated deployment output that calibration fits against.
+func (m *Model) predictWith(ctr *hdc.Counter, e encoded, dot func(*hdc.Counter, encoded, int) float64) float64 {
+	return m.mix(ctr, nil, e, dot, m.sims, m.conf)
 }
 
 // Predict returns the model's regression output for the feature vector x.
@@ -433,33 +409,14 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if !m.trained {
 		return 0, ErrNotTrained
 	}
-	s := m.scratch.get()
-	defer m.scratch.put(s)
-	if st := m.Stages; st != nil {
-		e, err := m.encodeStaged(m.InferCounter, x, s, st)
-		if err != nil {
-			return 0, err
-		}
-		return m.predictStaged(m.InferCounter, e, s.sims, s.conf, st), nil
-	}
-	e, err := m.encodeScratch(m.InferCounter, x, s)
-	if err != nil {
-		return 0, err
-	}
-	return m.predictEncoded(m.InferCounter, e, s.sims, s.conf), nil
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	return m.predict(m.InferCounter, m.Stages, x, sc)
 }
 
-// PredictBatch returns predictions for each row of xs.
+// PredictBatch returns predictions for each row of xs, serially.
 func (m *Model) PredictBatch(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		y, err := m.Predict(x)
-		if err != nil {
-			return nil, fmt.Errorf("core: predicting row %d: %w", i, err)
-		}
-		out[i] = y
-	}
-	return out, nil
+	return m.PredictBatchParallel(xs, 1)
 }
 
 // refreshBinaryShadows re-quantizes the binary copies from the integer

@@ -33,7 +33,7 @@ func (m *Model) PartialFit(x []float64, y float64) error {
 	if err != nil {
 		return err
 	}
-	yhat := m.predictTraining(m.TrainCounter, e)
+	yhat := m.predictWith(m.TrainCounter, e, m.trainModelDot)
 	m.update(m.TrainCounter, e, y, yhat)
 	m.trained = true
 	return nil

@@ -41,28 +41,25 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// forEachRowParallel splits [0, n) into contiguous per-worker chunks and
-// applies fn to every index; each worker stops its chunk at its first
-// error. It returns the error of the lowest failing row index. With one
-// worker (or one item) it runs inline.
-func forEachRowParallel(n, workers int, fn func(i int) error) error {
-	return forEachRowParallelCtx(context.Background(), n, workers, fn)
-}
-
-// forEachRowParallelCtx is forEachRowParallel with per-row cancellation:
-// every worker checks ctx before each row, so a deadline or cancellation
-// stops the batch at row granularity instead of running it to completion.
-// The reported error for a cancelled row wraps ctx.Err(). The background
-// context's Err is a constant nil, so the uncancellable path pays only a
-// dynamic method call per row — noise against a D-dimensional prediction.
-func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
+// forEachRowParallelCtx is the one batch worker loop: it splits [0, n)
+// into contiguous per-worker chunks and calls fn(w, i) for every index, w
+// being the worker running row i, so callers can keep per-worker counters
+// and scratch indexed by w without locks. Each worker stops its chunk at its
+// first error, and the error of the lowest failing row is returned. With one
+// worker (or one item) it runs inline as worker 0. Every worker checks ctx
+// before each row, so a deadline or cancellation stops the batch at row
+// granularity; the reported error for a cancelled row wraps ctx.Err(). The
+// background context's Err is a constant nil, so the uncancellable path pays
+// only a dynamic method call per row — noise against a D-dimensional
+// prediction.
+func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	workers = clampWorkers(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("core: row %d cancelled: %w", i, err)
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -88,7 +85,7 @@ func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(i int) e
 					errs[w] = rowErr{row: i, err: fmt.Errorf("core: row %d cancelled: %w", i, err)}
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					errs[w] = rowErr{row: i, err: err}
 					return
 				}
@@ -97,6 +94,40 @@ func forEachRowParallelCtx(ctx context.Context, n, workers int, fn func(i int) e
 	}
 	wg.Wait()
 	return firstRowErr(errs)
+}
+
+// predictBatch is the one batch prediction path: rows fan out over
+// forEachRowParallelCtx and each row runs predict on pooled scratch. When
+// sink is non-nil every worker counts into its own counter, and each
+// worker's counts are handed to sink once the batch ends — on the failure
+// path too, so instrumentation matches the work actually performed. On
+// error the failure with the lowest row index is returned.
+func (p *params) predictBatch(ctx context.Context, xs [][]float64, workers int, pool *scratchPool, st *StageTimes, sink func(*hdc.Counter)) ([]float64, error) {
+	ctrs := make([]hdc.Counter, clampWorkers(workers, len(xs)))
+	out := make([]float64, len(xs))
+	err := forEachRowParallelCtx(ctx, len(xs), len(ctrs), func(w, i int) error {
+		sc := pool.get()
+		defer pool.put(sc)
+		var ctr *hdc.Counter
+		if sink != nil {
+			ctr = &ctrs[w]
+		}
+		y, err := p.predict(ctr, st, xs[i], sc)
+		if err != nil {
+			return fmt.Errorf("core: predicting row %d: %w", i, err)
+		}
+		out[i] = y
+		return nil
+	})
+	if sink != nil {
+		for w := range ctrs {
+			sink(&ctrs[w])
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PredictBatchParallel predicts every row of xs using the given number of
@@ -111,52 +142,9 @@ func (m *Model) PredictBatchParallel(xs [][]float64, workers int) ([]float64, er
 	if !m.trained {
 		return nil, ErrNotTrained
 	}
-	workers = clampWorkers(workers, len(xs))
-	if workers <= 1 {
-		return m.PredictBatch(xs)
+	var sink func(*hdc.Counter)
+	if m.InferCounter != nil {
+		sink = m.InferCounter.AddCounter
 	}
-	out := make([]float64, len(xs))
-	errs := make([]rowErr, workers)
-	counters := make([]*hdc.Counter, workers)
-	var wg sync.WaitGroup
-	chunk := (len(xs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		var ctr *hdc.Counter
-		if m.InferCounter != nil {
-			ctr = &hdc.Counter{}
-			counters[w] = ctr
-		}
-		go func(w, lo, hi int, ctr *hdc.Counter) {
-			defer wg.Done()
-			sc := m.scratch.get()
-			defer m.scratch.put(sc)
-			for i := lo; i < hi; i++ {
-				e, err := m.encodeScratch(ctr, xs[i], sc)
-				if err != nil {
-					errs[w] = rowErr{row: i, err: fmt.Errorf("core: predicting row %d: %w", i, err)}
-					return
-				}
-				out[i] = m.predictEncoded(ctr, e, sc.sims, sc.conf)
-			}
-		}(w, lo, hi, ctr)
-	}
-	wg.Wait()
-	// Merge per-worker counters before the error check: a failed batch
-	// must still account for the operations its workers performed.
-	for _, ctr := range counters {
-		m.InferCounter.AddCounter(ctr)
-	}
-	if err := firstRowErr(errs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return m.predictBatch(context.Background(), xs, workers, m.scratch, m.Stages, sink)
 }

@@ -115,12 +115,9 @@ func Load(r io.Reader) (*Model, error) {
 	if err := st.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: config: %v", ErrCorruptModel, err)
 	}
-	if len(st.Models) != st.Cfg.Models {
-		return nil, fmt.Errorf("%w: %d model vectors, config says %d", ErrCorruptModel, len(st.Models), st.Cfg.Models)
-	}
 	dim := st.Encoder.Dim()
-	if err := hdc.CheckDims(dim, st.Models...); err != nil {
-		return nil, fmt.Errorf("%w: model vectors: %v", ErrCorruptModel, err)
+	if err := st.checkShape(dim); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptModel, err)
 	}
 	bufEnc, _ := st.Encoder.(encoding.BufferedEncoder)
 	m := &Model{
@@ -142,6 +139,7 @@ func Load(r io.Reader) (*Model, error) {
 		rng:     rand.New(rand.NewSource(st.Cfg.Seed)),
 		scratch: newScratchPool(st.Cfg.Models, dim, st.Cfg.PredictMode.UsesRawQuery(), bufEnc != nil),
 	}
+	m.clustersSet, m.clustersBin = clusterSlab(m.clustersBin)
 	if m.cfg.Models > 1 {
 		m.sims = make([]float64, m.cfg.Models)
 		m.conf = make([]float64, m.cfg.Models)
@@ -152,6 +150,50 @@ func Load(r io.Reader) (*Model, error) {
 		}
 	}
 	return m, nil
+}
+
+// checkShape validates the decoded hypervector stores against the
+// configuration and the encoder's dimension: every store the configuration
+// materializes holds exactly Cfg.Models vectors of dimension dim, and every
+// store it does not is empty. A checkpoint that fails this would otherwise
+// load and then panic (or silently mispredict) on first use.
+func (st *modelState) checkShape(dim int) error {
+	k := st.Cfg.Models
+	binModels := st.Cfg.PredictMode.UsesBinaryModel()
+	want := func(materialized bool) int {
+		if materialized {
+			return k
+		}
+		return 0
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"model vectors", len(st.Models), k},
+		{"cluster vectors", len(st.Clusters), want(k > 1)},
+		{"binary cluster vectors", len(st.ClustersBin), want(k > 1 && st.Cfg.ClusterMode != ClusterInteger)},
+		{"binary model vectors", len(st.ModelsBin), want(binModels)},
+		{"model scales", len(st.ModelScale), want(binModels)},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("%d %s, config says %d", c.got, c.name, c.want)
+		}
+	}
+	if err := hdc.CheckDims(dim, st.Models...); err != nil {
+		return fmt.Errorf("model vectors: %w", err)
+	}
+	if err := hdc.CheckDims(dim, st.Clusters...); err != nil {
+		return fmt.Errorf("cluster vectors: %w", err)
+	}
+	for _, bs := range [][]*hdc.Binary{st.ClustersBin, st.ModelsBin} {
+		for _, b := range bs {
+			if b == nil || b.Dim != dim || len(b.Words) != (dim+63)/64 {
+				return fmt.Errorf("binary vector does not match encoder dimension %d", dim)
+			}
+		}
+	}
+	return nil
 }
 
 // LoadFile loads a model from a file path.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"reghd/internal/hdc"
 )
@@ -47,18 +46,10 @@ func (m *Model) Snapshot() *Snapshot {
 		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
 	}
 	s.clusters = cloneVectors(m.clusters)
-	s.clustersBin = cloneBinaries(m.clustersBin)
 	s.models = cloneVectors(m.models)
 	s.modelsBin = cloneBinaries(m.modelsBin)
 	s.modelScale = append([]float64(nil), m.modelScale...)
-	if s.clustersBin != nil {
-		// Flatten the frozen binary clusters into one contiguous slab so the
-		// k-way Hamming search can block clusters without chasing per-vector
-		// allocations (see hdc.BinarySet). Only snapshots carry the slab: the
-		// live model's clusters keep mutating under training, so it serves
-		// through the per-*Binary fallback instead.
-		s.clustersSet = hdc.NewBinarySet(s.clustersBin)
-	}
+	s.clustersSet, s.clustersBin = clusterSlab(m.clustersBin)
 	return s
 }
 
@@ -126,19 +117,9 @@ func (s *Snapshot) Predict(x []float64) (float64, error) {
 		sc.ctr.Reset()
 		ctr = &sc.ctr
 	}
-	var y float64
-	if st := s.stages; st != nil {
-		e, err := s.encodeStaged(ctr, x, sc, st)
-		if err != nil {
-			return 0, err
-		}
-		y = s.predictStaged(ctr, e, sc.sims, sc.conf, st)
-	} else {
-		e, err := s.encodeScratch(ctr, x, sc)
-		if err != nil {
-			return 0, err
-		}
-		y = s.predictEncoded(ctr, e, sc.sims, sc.conf)
+	y, err := s.predict(ctr, s.stages, x, sc)
+	if err != nil {
+		return 0, err
 	}
 	s.counter.AddCounter(ctr)
 	return y, nil
@@ -146,15 +127,7 @@ func (s *Snapshot) Predict(x []float64) (float64, error) {
 
 // PredictBatch returns predictions for each row of xs, serially.
 func (s *Snapshot) PredictBatch(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		y, err := s.Predict(x)
-		if err != nil {
-			return nil, fmt.Errorf("core: predicting row %d: %w", i, err)
-		}
-		out[i] = y
-	}
-	return out, nil
+	return s.PredictBatchParallelCtx(context.Background(), xs, 1)
 }
 
 // PredictBatchParallel predicts every row of xs using the given number of
@@ -173,17 +146,9 @@ func (s *Snapshot) PredictBatchParallelCtx(ctx context.Context, xs [][]float64, 
 	if !s.trained {
 		return nil, ErrNotTrained
 	}
-	out := make([]float64, len(xs))
-	err := forEachRowParallelCtx(ctx, len(xs), workers, func(i int) error {
-		y, err := s.Predict(xs[i])
-		if err != nil {
-			return fmt.Errorf("core: predicting row %d: %w", i, err)
-		}
-		out[i] = y
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	var sink func(*hdc.Counter)
+	if s.counter != nil {
+		sink = s.counter.AddCounter
 	}
-	return out, nil
+	return s.predictBatch(ctx, xs, workers, s.scratch, s.stages, sink)
 }

@@ -48,9 +48,10 @@ func (s Stage) String() string {
 // nil *StageTimes is valid everywhere and records nothing, mirroring the
 // nil-Counter convention of the instrumented kernels.
 //
-// Timing costs two time.Now calls per recorded stage, so the prediction
-// paths only take timestamps when a StageTimes is installed (Model.Stages,
-// Snapshot.SetStages, Engine.EnableMetrics).
+// The prediction path times its stages back to back with one clock read
+// per stage boundary (see stageTimer), and reads the clock only when a
+// StageTimes is installed (Model.Stages, Snapshot.SetStages,
+// Engine.EnableMetrics).
 type StageTimes struct {
 	ns    [NumStages]atomic.Int64
 	calls [NumStages]atomic.Int64
@@ -119,4 +120,38 @@ func (t *StageTimes) Reset() {
 		t.ns[i].Store(0)
 		t.calls[i].Store(0)
 	}
+}
+
+// stageTimer times the consecutive stages of one prediction into st. Each
+// lap closes the stage that began at the previous boundary. The zero value
+// (nil st) records nothing and never reads the clock, so an untimed
+// prediction pays one nil check per stage boundary.
+type stageTimer struct {
+	st *StageTimes
+	t  time.Time
+}
+
+// startStages opens the first stage boundary of a prediction timed into st.
+func startStages(st *StageTimes) stageTimer {
+	if st == nil {
+		return stageTimer{}
+	}
+	return stageTimer{st: st, t: stageClock()}
+}
+
+// lap records the time since the previous boundary as stage s. A nil timer
+// (the training paths) is idle like the zero value.
+func (tm *stageTimer) lap(s Stage) {
+	if tm == nil || tm.st == nil {
+		return
+	}
+	now := stageClock()
+	tm.st.Observe(s, now.Sub(tm.t))
+	tm.t = now
+}
+
+// stageClock is the prediction path's only wall-clock read.
+func stageClock() time.Time {
+	//lint:nondeterm wall-clock telemetry: stage timing feeds StageTimes metrics only
+	return time.Now()
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"reghd/internal/dataset"
 	"reghd/internal/hdc"
@@ -56,65 +55,33 @@ func (m *Model) prepare(train *dataset.Dataset) (*trainCache, error) {
 	// Encoding is embarrassingly parallel (the encoder is read-only);
 	// it dominates Fit's cost, so spread it over the available cores with
 	// per-worker operation counters merged afterwards.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > train.Len() {
-		workers = train.Len()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	counters := make([]*hdc.Counter, workers)
-	var wg sync.WaitGroup
-	chunk := (train.Len() + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > train.Len() {
-			hi = train.Len()
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		var ctr *hdc.Counter
-		if m.TrainCounter != nil {
-			ctr = &hdc.Counter{}
-			counters[w] = ctr
-		}
-		go func(w, lo, hi int, ctr *hdc.Counter) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				e, err := m.encode(ctr, train.X[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("core: encoding row %d: %w", i, err)
-					return
-				}
-				c.packed[i] = e.packed
-				if needRaw {
-					r := make([]float32, m.dim)
-					for j, v := range e.raw {
-						r[j] = float32(v)
-					}
-					c.raw[i] = r
-				}
-			}
-		}(w, lo, hi, ctr)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	counters := make([]hdc.Counter, clampWorkers(0, train.Len()))
+	err := forEachRowParallelCtx(context.Background(), train.Len(), len(counters), func(w, i int) error {
+		e, err := m.encode(&counters[w], train.X[i])
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("core: encoding row %d: %w", i, err)
 		}
+		c.packed[i] = e.packed
+		if needRaw {
+			r := make([]float32, m.dim)
+			for j, v := range e.raw {
+				r[j] = float32(v)
+			}
+			c.raw[i] = r
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, ctr := range counters {
-		m.TrainCounter.AddCounter(ctr)
+	for w := range counters {
+		m.TrainCounter.AddCounter(&counters[w])
 	}
 	return c, nil
 }
 
 // update applies the Eq. 7 model update and the Eq. 8 cluster update for
-// one sample, using the similarities/confidences left by predictTraining.
+// one sample, using the similarities/confidences left by predictWith.
 //
 // The update vector matches the query representation of the prediction
 // kernel (bipolar S for binary-query modes — the paper's Eq. 2/7 — raw H
@@ -174,7 +141,7 @@ func (m *Model) trainOne(cache *trainCache, idx int, scratchS, scratchRaw hdc.Ve
 		}
 		e.raw = scratchRaw
 	}
-	yhat := m.predictTraining(m.TrainCounter, e)
+	yhat := m.predictWith(m.TrainCounter, e, m.trainModelDot)
 	d := cache.y[idx] - yhat
 	m.update(m.TrainCounter, e, cache.y[idx], yhat)
 	return d * d

@@ -291,60 +291,18 @@ func CosineK(ctr *Counter, q Vector, cs []Vector, sims []float64) {
 	ctr.Add(OpMemRead, k*4*d)
 }
 
-// HammingSimilarityK fills sims[i] = HammingSimilarity(q, cs[i]) for every
-// binary cluster in one fused call. The query words stay L1-resident across
-// all k clusters. Integer reduction is order-independent, so results are
-// exactly the naive loop's; op charges are k times the single-pair kernel.
-//
-// This is the fallback for clusters held as separate *Binary values (the
-// live training model, whose clusters reallocate as they learn). The serving
-// path builds a BinarySet slab at Snapshot time and uses its method instead:
-// with per-cluster word slices the four XOR+POPCNT streams hit four
-// unrelated allocations and the earlier manual 4-word unroll measured
-// *slower* than the naive per-pair loop at D=4096 (0.84×, see
-// docs/PERFORMANCE.md "Flat spots") — so this fallback keeps the plain
-// per-cluster word loop the compiler handles best, and the blocking lives
-// where the layout supports it.
-func HammingSimilarityK(ctr *Counter, q *Binary, cs []*Binary, sims []float64) {
-	if len(sims) < len(cs) {
-		panic(fmt.Sprintf("hdc: HammingSimilarityK sims has %d slots for %d clusters", len(sims), len(cs)))
-	}
-	qw := q.Words
-	for i, c := range cs {
-		if c.Dim != q.Dim {
-			panic(fmt.Sprintf("hdc: HammingSimilarityK dimension mismatch %d != %d", c.Dim, q.Dim))
-		}
-		cw := c.Words
-		var h int
-		for w, x := range qw {
-			h += bits.OnesCount64(x ^ cw[w])
-		}
-		sims[i] = 1 - 2*float64(h)/float64(q.Dim)
-	}
-	chargeHammingK(ctr, uint64(len(q.Words)), uint64(len(cs)))
-}
-
-// chargeHammingK charges k× the HammingSimilarity reference (Hamming + the
-// map to [−1,1]) over nw-word vectors — shared by the fallback and the
-// BinarySet kernel so both stay charge-identical to k naive calls.
-func chargeHammingK(ctr *Counter, nw, k uint64) {
-	ctr.Add(OpXor, k*nw)
-	ctr.Add(OpPopcnt, k*nw)
-	ctr.Add(OpIntAdd, k*nw)
-	ctr.Add(OpMemRead, k*2*nw)
-	ctr.Add(OpFloatDiv, k)
-	ctr.Add(OpFloatAdd, k)
-}
-
 // BinarySet is k equal-dimension bit-packed hypervectors flattened into one
 // contiguous word slab, row-major: vector i occupies words[i*wordsPerVec :
-// (i+1)*wordsPerVec]. The layout exists for the k-way Hamming search on the
-// serving path: with all cluster words in a single allocation the kernel can
-// block four clusters against each query word pair and keep every stream on
-// the same hardware-prefetched cache lines, which is what makes the fused
-// form actually beat k naive calls (the per-*Binary layout did not; see
-// HammingSimilarityK). Snapshots build one at construction time; the set is
-// immutable after NewBinarySet.
+// (i+1)*wordsPerVec]. The layout exists for the k-way Hamming search: with
+// all cluster words in a single allocation the kernel can block four
+// clusters against each query word pair and keep every stream on the same
+// hardware-prefetched cache lines, which is what makes the fused form beat
+// k naive calls (a per-*Binary layout did not; see docs/PERFORMANCE.md).
+//
+// The set is the storage, not a frozen copy: Row returns views that alias
+// the slab, so writing through a view (PackInto, SetBit, FlipBits) changes
+// what HammingSimilarityK reads. internal/core keeps every model's binary
+// clusters here, live models and snapshots alike.
 type BinarySet struct {
 	k, dim, wordsPerVec int
 	words               []uint64
@@ -354,7 +312,7 @@ type BinarySet struct {
 // one dimension. The input slices are copied; later mutation of bs does not
 // affect the set.
 //
-//lint:nocount one-time snapshot-construction layout change: the per-query kernels still charge the canonical k-way Hamming ops
+//lint:nocount one-time layout change at model construction: the per-query kernels still charge the canonical k-way Hamming ops
 func NewBinarySet(bs []*Binary) *BinarySet {
 	s := &BinarySet{k: len(bs)}
 	if len(bs) == 0 {
@@ -372,6 +330,13 @@ func NewBinarySet(bs []*Binary) *BinarySet {
 	return s
 }
 
+// Row returns vector i as a Binary whose Words alias the slab. The view's
+// capacity ends at the row, so an append can never spill into row i+1.
+func (s *BinarySet) Row(i int) *Binary {
+	nw := s.wordsPerVec
+	return &Binary{Words: s.words[i*nw : (i+1)*nw : (i+1)*nw], Dim: s.dim}
+}
+
 // Len returns the number of vectors in the set.
 func (s *BinarySet) Len() int { return s.k }
 
@@ -379,12 +344,10 @@ func (s *BinarySet) Len() int { return s.k }
 func (s *BinarySet) Dim() int { return s.dim }
 
 // HammingSimilarityK fills sims[i] = HammingSimilarity(q, set vector i) for
-// every vector in the set — the slab-layout replacement for the free
-// HammingSimilarityK on the snapshot serving path. Clusters are blocked four
-// at a time against two query words per step: the four distance accumulators
-// are independent (no XOR→POPCNT→ADD dependency chain stalls) and all four
-// cluster streams walk consecutive slab rows, so the blocking pays instead
-// of thrashing. Hamming distances are integer sums (order-independent) and
+// every vector in the set. Clusters are blocked four at a time against two
+// query words per step: the four distance accumulators are independent (no
+// XOR→POPCNT→ADD dependency chain stalls) and all four cluster streams walk
+// consecutive slab rows, so the blocking pays instead of thrashing. Hamming distances are integer sums (order-independent) and
 // the final map 1 − 2h/D is the same expression as the single-pair kernel,
 // so results are bit-for-bit identical to k naive HammingSimilarity calls;
 // charges are identical too.
@@ -433,5 +396,12 @@ func (s *BinarySet) HammingSimilarityK(ctr *Counter, q *Binary, sims []float64) 
 		}
 		sims[i] = 1 - 2*float64(h)/dim
 	}
-	chargeHammingK(ctr, uint64(nw), uint64(s.k))
+	// Charge k× the HammingSimilarity reference: Hamming + the map to [−1,1].
+	w, k := uint64(nw), uint64(s.k)
+	ctr.Add(OpXor, k*w)
+	ctr.Add(OpPopcnt, k*w)
+	ctr.Add(OpIntAdd, k*w)
+	ctr.Add(OpMemRead, k*2*w)
+	ctr.Add(OpFloatDiv, k)
+	ctr.Add(OpFloatAdd, k)
 }

@@ -129,8 +129,10 @@ func TestCosineKZeroNorm(t *testing.T) {
 	}
 }
 
-// TestHammingSimilarityKMatchesNaive checks the fused binary similarity
-// against the per-cluster loop: identical values and op counts.
+// TestHammingSimilarityKMatchesNaive checks the k-way kernel after writes
+// through the slab's row views — the way models update their binary
+// clusters in place — against the per-pair loop over those same views:
+// identical values and op counts, and no write leaking into another row.
 func TestHammingSimilarityKMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range []struct{ k, dim int }{
@@ -141,13 +143,28 @@ func TestHammingSimilarityKMatchesNaive(t *testing.T) {
 		for i := range cs {
 			cs[i] = RandomBipolarBinary(rng, tc.dim)
 		}
+		set := NewBinarySet(cs)
+		rows := make([]*Binary, tc.k)
+		for i := range rows {
+			rows[i] = set.Row(i)
+			if !rows[i].Equal(cs[i]) || cap(rows[i].Words) != len(rows[i].Words) {
+				t.Fatalf("k=%d dim=%d: row %d is not a capped copy of its source", tc.k, tc.dim, i)
+			}
+		}
+		// Rewrite row 0 wholesale, flip bits in the last row, and set the
+		// first bit of every row: each write must land in its own row only.
+		PackInto(nil, rows[0], Unpack(RandomBipolarBinary(rng, tc.dim)))
+		rows[tc.k-1].FlipBits([]int{0, tc.dim - 1})
+		for _, r := range rows {
+			r.SetBit(0, true)
+		}
 		ref := make([]float64, tc.k)
 		got := make([]float64, tc.k)
 		var refCtr, gotCtr Counter
-		for i, c := range cs {
-			ref[i] = HammingSimilarity(&refCtr, q, c)
+		for i, r := range rows {
+			ref[i] = HammingSimilarity(&refCtr, q, r)
 		}
-		HammingSimilarityK(&gotCtr, q, cs, got)
+		set.HammingSimilarityK(&gotCtr, q, got)
 		for i := range ref {
 			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 				t.Fatalf("k=%d dim=%d: sims[%d] = %v, want %v",
@@ -155,7 +172,7 @@ func TestHammingSimilarityKMatchesNaive(t *testing.T) {
 			}
 		}
 		if refCtr != gotCtr {
-			t.Fatalf("k=%d dim=%d: op counts diverge:\nfused: %v\nnaive: %v",
+			t.Fatalf("k=%d dim=%d: op counts diverge:\nslab: %v\nnaive: %v",
 				tc.k, tc.dim, &gotCtr, &refCtr)
 		}
 	}
@@ -200,7 +217,7 @@ func TestBinarySetHammingSimilarityKMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBinarySetIsACopy pins the immutability contract: mutating the source
+// TestBinarySetIsACopy pins the copy contract: mutating the source
 // binaries after NewBinarySet must not change the set's similarities.
 func TestBinarySetIsACopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -171,6 +171,14 @@ type serveStats struct {
 	lastPublishNS       atomic.Int64
 }
 
+// stageTimes returns the stage accumulator, or nil when metrics are off.
+func (st *serveStats) stageTimes() *StageTimes {
+	if st == nil {
+		return nil
+	}
+	return &st.stages
+}
+
 // EnableMetrics turns on serving instrumentation: latency histograms and
 // error counters around Predict/PredictBatch/PartialFit, per-stage
 // prediction timing, and snapshot-staleness gauges. It republishes once so

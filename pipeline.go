@@ -47,8 +47,8 @@ func (p *Pipeline) Scaler() *Scaler { return p.scaler }
 // (standardize/encode/similarity/readout) and returns the accumulator;
 // summarize it with StageTimes.Summary. Idempotent. Install before serving
 // begins — recording itself is atomic and safe under concurrent
-// prediction. Timing costs two timestamps per stage, so leave it off for
-// throughput-critical runs.
+// prediction. Timing costs a timestamp per stage boundary, so leave it off
+// for throughput-critical runs.
 func (p *Pipeline) EnableStageTiming() *StageTimes {
 	if p.stages == nil {
 		p.stages = &StageTimes{}
@@ -85,22 +85,14 @@ func (p *Pipeline) Predict(x []float64) (float64, error) {
 	if p.scaler == nil {
 		return 0, errors.New("reghd: pipeline has not been fitted")
 	}
-	var ts time.Time
-	if p.stages != nil {
-		ts = time.Now()
-	}
-	row := append([]float64(nil), x...)
-	if err := p.scaler.TransformRow(row); err != nil {
-		return 0, err
-	}
-	if p.stages != nil {
-		p.stages.Observe(StageStandardize, time.Since(ts))
-	}
-	y, err := p.model.Predict(row)
+	ys, err := standardized(p.scaler, p.stages, [][]float64{x}, func(rows [][]float64) ([]float64, error) {
+		y, err := p.model.Predict(rows[0])
+		return []float64{y}, err
+	})
 	if err != nil {
 		return 0, err
 	}
-	return p.scaler.InverseY(y), nil
+	return ys[0], nil
 }
 
 // PredictBatch predicts every row of xs: the batch is standardized once and
@@ -110,27 +102,45 @@ func (p *Pipeline) PredictBatch(xs [][]float64) ([]float64, error) {
 	if p.scaler == nil {
 		return nil, errors.New("reghd: pipeline has not been fitted")
 	}
+	return standardized(p.scaler, p.stages, xs, func(rows [][]float64) ([]float64, error) {
+		ys, err := p.model.PredictBatchParallel(rows, 0)
+		if err != nil {
+			return nil, fmt.Errorf("reghd: %w", err)
+		}
+		return ys, nil
+	})
+}
+
+// standardized is the standardize step shared by Pipeline and Engine
+// prediction: it copies and standardizes every row of xs (one
+// StageStandardize observation into st when st is non-nil), runs predict on
+// the standardized rows, and maps the outputs back to original target
+// units. A nil scaler passes rows and outputs through unchanged.
+func standardized(sc *Scaler, st *StageTimes, xs [][]float64, predict func([][]float64) ([]float64, error)) ([]float64, error) {
+	if sc == nil {
+		return predict(xs)
+	}
 	var ts time.Time
-	if p.stages != nil {
+	if st != nil {
 		ts = time.Now()
 	}
 	rows := make([][]float64, len(xs))
 	for i, x := range xs {
 		row := append([]float64(nil), x...)
-		if err := p.scaler.TransformRow(row); err != nil {
+		if err := sc.TransformRow(row); err != nil {
 			return nil, fmt.Errorf("reghd: standardizing row %d: %w", i, err)
 		}
 		rows[i] = row
 	}
-	if p.stages != nil {
-		p.stages.Observe(StageStandardize, time.Since(ts))
+	if st != nil {
+		st.Observe(StageStandardize, time.Since(ts))
 	}
-	ys, err := p.model.PredictBatchParallel(rows, 0)
+	ys, err := predict(rows)
 	if err != nil {
-		return nil, fmt.Errorf("reghd: %w", err)
+		return nil, err
 	}
 	for i := range ys {
-		ys[i] = p.scaler.InverseY(ys[i])
+		ys[i] = sc.InverseY(ys[i])
 	}
 	return ys, nil
 }

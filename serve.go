@@ -423,28 +423,14 @@ func (e *Engine) predictSafe(st *serveStats, x []float64) (y float64, err error)
 // the snapshot).
 func (e *Engine) predict(st *serveStats, x []float64) (float64, error) {
 	snap := e.snap.Load().snap
-	if e.scaler != nil {
-		var ts time.Time
-		if st != nil {
-			ts = time.Now()
-		}
-		row := append([]float64(nil), x...)
-		if err := e.scaler.TransformRow(row); err != nil {
-			return 0, err
-		}
-		if st != nil {
-			st.stages.Observe(core.StageStandardize, time.Since(ts))
-		}
-		x = row
-	}
-	y, err := snap.Predict(x)
+	ys, err := standardized(e.scaler, st.stageTimes(), [][]float64{x}, func(rows [][]float64) ([]float64, error) {
+		y, err := snap.Predict(rows[0])
+		return []float64{y}, err
+	})
 	if err != nil {
 		return 0, err
 	}
-	if e.scaler != nil {
-		y = e.scaler.InverseY(y)
-	}
-	return y, nil
+	return ys[0], nil
 }
 
 // PredictBatch serves a batch from one consistent published snapshot,
@@ -497,32 +483,7 @@ func (e *Engine) predictBatchSafe(ctx context.Context, st *serveStats, xs [][]fl
 // standardization stage time (one observation covering the whole batch).
 func (e *Engine) predictBatch(ctx context.Context, st *serveStats, xs [][]float64) ([]float64, error) {
 	snap := e.snap.Load().snap
-	rows := xs
-	if e.scaler != nil {
-		var ts time.Time
-		if st != nil {
-			ts = time.Now()
-		}
-		rows = make([][]float64, len(xs))
-		for i, x := range xs {
-			row := append([]float64(nil), x...)
-			if err := e.scaler.TransformRow(row); err != nil {
-				return nil, err
-			}
-			rows[i] = row
-		}
-		if st != nil {
-			st.stages.Observe(core.StageStandardize, time.Since(ts))
-		}
-	}
-	ys, err := snap.PredictBatchParallelCtx(ctx, rows, 0)
-	if err != nil {
-		return nil, err
-	}
-	if e.scaler != nil {
-		for i := range ys {
-			ys[i] = e.scaler.InverseY(ys[i])
-		}
-	}
-	return ys, nil
+	return standardized(e.scaler, st.stageTimes(), xs, func(rows [][]float64) ([]float64, error) {
+		return snap.PredictBatchParallelCtx(ctx, rows, 0)
+	})
 }
