@@ -109,10 +109,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/dataset/
 	$(GO) test -fuzz=FuzzPackUnpack -fuzztime=10s ./internal/hdc/
 
-# Quick CI-friendly fuzz pass over the differential sign-projection target:
-# the bit-packed encode path must keep agreeing with the reference form.
+# Quick CI-friendly fuzz pass: the differential sign-projection target (the
+# bit-packed encode path must keep agreeing with the reference form), then
+# the two framed decoders — checkpoints (FuzzLoad, seeded with the golden
+# files in internal/core/testdata/) and replication deltas (FuzzDeltaWire):
+# arbitrary bytes must fail typed, never panic, and anything accepted must
+# re-encode to a fixed point.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSignProject -fuzztime=20s ./internal/hdc/
+	$(GO) test -run '^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s ./internal/core/
+	$(GO) test -run '^$$' -fuzz='^FuzzDeltaWire$$' -fuzztime=20s ./internal/core/
 
 # Fault-injection chaos pass (docs/ROBUSTNESS.md): the serving-hardening
 # stress tests under the race detector — readers hammering an engine whose

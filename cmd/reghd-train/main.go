@@ -36,7 +36,7 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "random seed")
 		binCl     = flag.Bool("binary-cluster", false, "use quantized (Hamming) clustering")
 		predict   = flag.String("predict", "bquery-imodel", "prediction kernel: full | bquery-imodel | iquery-bmodel | bquery-bmodel")
-		saveTo    = flag.String("save", "", "write the fitted pipeline (model + scaler) to this file (gob)")
+		saveTo    = flag.String("save", "", "write the fitted pipeline (model + scaler) to this checkpoint file")
 		sparsity  = flag.Float64("sparsify", 0, "after training, zero this fraction of the lowest-magnitude model components")
 		grid      = flag.Bool("grid", false, "grid-search k and the learning rate with 4-fold CV before training")
 		compare   = flag.Bool("compare", false, "also evaluate the DNN/ridge/tree/SVR baselines on the same split")

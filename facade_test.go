@@ -2,8 +2,13 @@ package reghd
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -63,6 +68,17 @@ func TestPipelineSaveLoadFile(t *testing.T) {
 	b, _ := back.Predict(all.X[0])
 	if a != b {
 		t.Fatal("file round trip changed predictions")
+	}
+	// SaveFile is atomic: a save that fails leaves the previous checkpoint
+	// loadable and no temporary file behind.
+	if err := NewPipeline(m).SaveFile(path); err == nil {
+		t.Fatal("unfitted pipeline saved")
+	}
+	if _, err := LoadPipelineFile(path); err != nil {
+		t.Fatalf("previous checkpoint lost: %v", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Fatalf("%d directory entries after a failed save, want 1", len(entries))
 	}
 	if _, err := LoadPipelineFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Fatal("missing file accepted")
@@ -200,6 +216,141 @@ func TestPredictBatchParallelFacade(t *testing.T) {
 	for i := range seqP {
 		if seqP[i] != parP[i] {
 			t.Fatal("parallel facade differs from sequential")
+		}
+	}
+}
+
+// savedPipeline fits a small pipeline and returns it with its checkpoint.
+func savedPipeline(t *testing.T) (*Pipeline, []byte) {
+	t.Helper()
+	enc, _ := NewEncoder(2, 256, 16)
+	cfg := DefaultConfig()
+	cfg.Models = 4
+	cfg.Epochs = 3
+	m, _ := NewModel(enc, cfg)
+	pipe := NewPipeline(m)
+	if _, err := pipe.Fit(makeData(15, 200)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pipe.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return pipe, buf.Bytes()
+}
+
+// TestPipelineLoadCorrupt runs the checkpoint corruption matrix through the
+// facade: truncation at each section boundary, a flipped bit in each
+// section, a wrong magic or version, and header counts implying an
+// oversized allocation all fail with ErrCorruptModel through LoadPipeline,
+// LoadPipelineFile, LoadModel and the registry.
+func TestPipelineLoadCorrupt(t *testing.T) {
+	_, raw := savedPipeline(t)
+	// Section lengths of a 2-feature, D=256, k=4 pipeline checkpoint with
+	// integer clusters and models: magic+version, header, config, scaler,
+	// encoder, models, clusters, assignment counts, CRC trailer.
+	var bounds []int
+	end := 0
+	for _, n := range []int{5, 8 * 4, 7*8 + 5*8 + 1 + 8, 1 + 16 + 16*2, 1 + 4 + 4 + 8 + 8*(2+1)*256, 8 * 4 * 256, 8 * 4 * 256, 8 * 4, 4} {
+		end += n
+		bounds = append(bounds, end)
+	}
+	if end != len(raw) {
+		t.Fatalf("layout accounts for %d bytes, checkpoint has %d", end, len(raw))
+	}
+	reseal := func(b []byte) []byte {
+		body := b[:len(b)-4]
+		return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	edit := func(f func([]byte)) []byte {
+		b := append([]byte(nil), raw...)
+		f(b)
+		return reseal(b)
+	}
+	cases := map[string][]byte{
+		"bad-magic":   edit(func(b []byte) { copy(b, "GOB!") }),
+		"bad-version": edit(func(b []byte) { b[4] = 2 }),
+		"oversized-counts": edit(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[5:], 1<<24)
+			binary.LittleEndian.PutUint32(b[13:], 1<<16)
+		}),
+		"oversized-scaler": edit(func(b []byte) { binary.LittleEndian.PutUint32(b[9:], 1<<24) }),
+	}
+	prev := 0
+	for i, end := range bounds {
+		cases[fmt.Sprintf("truncated-at-%d", prev)] = raw[:prev]
+		for _, off := range []int{prev, (prev + end) / 2, end - 1} {
+			b := append([]byte(nil), raw...)
+			b[off] ^= 0x10
+			cases[fmt.Sprintf("section-%d-flip-%d", i, off)] = b
+		}
+		prev = end
+	}
+	dir := t.TempDir()
+	for name, b := range cases {
+		path := filepath.Join(dir, name+ModelExt)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPipeline(bytes.NewReader(b)); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: LoadPipeline: %v", name, err)
+		}
+		if _, err := LoadPipelineFile(path); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: LoadPipelineFile: %v", name, err)
+		}
+		if _, err := LoadModel(bytes.NewReader(b)); !errors.Is(err, ErrCorruptModel) {
+			t.Errorf("%s: LoadModel: %v", name, err)
+		}
+	}
+	reg, err := NewRegistry(RegistryConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Predict("bad-magic", []float64{1, 2}); !errors.Is(err, ErrModelLoad) || !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("registry: %v", err)
+	}
+}
+
+// TestCheckpointKinds pins that each loader takes its own kind of
+// checkpoint and refuses the other without calling it corrupt, and that
+// the registry serves both from one decode.
+func TestCheckpointKinds(t *testing.T) {
+	pipe, raw := savedPipeline(t)
+	var model bytes.Buffer
+	if err := pipe.Model().Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(bytes.NewReader(raw)); err == nil || errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("LoadModel of a pipeline checkpoint: %v", err)
+	}
+	if _, err := LoadPipeline(bytes.NewReader(model.Bytes())); err == nil || errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("LoadPipeline of a model checkpoint: %v", err)
+	}
+	dir := t.TempDir()
+	for name, b := range map[string][]byte{"pipe": raw, "bare": model.Bytes()} {
+		if err := os.WriteFile(filepath.Join(dir, name+ModelExt), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg, err := NewRegistry(RegistryConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := makeData(17, 1).X[0]
+	for name, want := range map[string]func() (float64, error){
+		"pipe": func() (float64, error) { return pipe.Predict(x) },
+		"bare": func() (float64, error) { return pipe.Model().Predict(x) },
+	} {
+		w, err := want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reg.Predict(name, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("%s: registry predicts %v, want %v", name, got, w)
 		}
 	}
 }

@@ -22,10 +22,11 @@ import (
 // errors.Is to map it to a 400-class response.
 var ErrInvalidInput = core.ErrInvalidInput
 
-// ErrCorruptModel is the sentinel wrapped by LoadModel/LoadModelFile when a
-// checkpoint cannot be decoded into a structurally valid model. SaveFile
-// writes checkpoints atomically (temp file + rename), so seeing this means
-// the bytes were damaged after the fact, not torn by a crashed writer.
+// ErrCorruptModel is the sentinel wrapped by LoadModel, LoadPipeline and
+// their File forms when a checkpoint cannot be decoded into a structurally
+// valid model. SaveFile writes checkpoints atomically (temp file +
+// rename), so seeing this means the bytes were damaged after the fact, not
+// torn by a crashed writer.
 var ErrCorruptModel = core.ErrCorruptModel
 
 // ErrOverloaded is returned by prediction when the engine's bounded

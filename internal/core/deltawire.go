@@ -1,13 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"reghd/internal/hdc"
+	"reghd/internal/wire"
 )
 
 // This file is the wire form of Delta: a versioned, deterministic binary
@@ -16,9 +15,10 @@ import (
 // of a replica fleet, so the format is hand-rolled: fixed little-endian
 // layout (no reflection, no type dictionaries), byte-for-byte deterministic
 // for a given delta (equal deltas encode to equal bytes, which lets
-// transports deduplicate and tests fingerprint payloads), and closed by a
-// CRC so a flipped bit in flight surfaces as ErrCorruptDelta instead of a
-// silently poisoned merge.
+// transports deduplicate and tests fingerprint payloads), and framed by
+// internal/wire, whose CRC makes a flipped bit in flight surface as
+// ErrCorruptDelta instead of a silently poisoned merge. Model checkpoints
+// (serialize.go) use the same frame.
 
 // ErrCorruptDelta is the sentinel wrapped by DecodeDelta when a payload
 // cannot be decoded into a structurally valid delta — truncation, a flipped
@@ -42,9 +42,8 @@ const (
 	deltaWireMaxVecs = 1 << 16
 )
 
-// deltaCRC is the checksum closing every frame (Castagnoli, the polynomial
-// with hardware support on current CPUs).
-var deltaCRC = crc32.MakeTable(crc32.Castagnoli)
+// deltaFormat is the frame (internal/wire) every encoded delta travels in.
+var deltaFormat = wire.Format{Magic: deltaWireMagic, Version: deltaWireVersion, Name: "delta payload"}
 
 // wireDim returns the common vector dimensionality of the delta (0 for a
 // delta with no vectors) and validates that every vector and shadow agrees
@@ -110,144 +109,57 @@ func (d *Delta) Encode() ([]byte, error) {
 	if dim > deltaWireMaxDim {
 		return nil, fmt.Errorf("core: delta dimension %d exceeds wire limit %d", dim, deltaWireMaxDim)
 	}
-	words := (dim + 63) / 64
-	size := len(deltaWireMagic) + 1 + // magic + version
-		4 + // dim
-		8 + // samples
-		16 + // calibration
-		6*4 + 4 + // six section counts + nOps
-		8*len(d.Models)*dim + 8*len(d.Clusters)*dim + 8*len(d.AssignN) +
-		8*int(hdc.NumOps) +
-		8*len(d.ModelsBin)*words + 8*len(d.ModelScale) + 8*len(d.ClustersBin)*words +
-		4 // crc
-	buf := make([]byte, 0, size)
-	buf = append(buf, deltaWireMagic...)
-	buf = append(buf, deltaWireVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
-	buf = binary.LittleEndian.AppendUint64(buf, d.Samples)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.CalibA))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.CalibB))
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf, deltaFormat)
+	w.U32(uint32(dim))
+	w.U64(d.Samples)
+	w.F64(d.CalibA)
+	w.F64(d.CalibB)
 	for _, n := range counts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		w.U32(uint32(n))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(hdc.NumOps))
+	w.U32(uint32(hdc.NumOps))
 	for _, v := range d.Models {
-		buf = appendVector(buf, v)
+		w.Floats(v)
 	}
 	for _, v := range d.Clusters {
-		buf = appendVector(buf, v)
+		w.Floats(v)
 	}
-	for _, n := range d.AssignN {
-		buf = binary.LittleEndian.AppendUint64(buf, n)
-	}
+	w.Words(d.AssignN)
 	ops := d.Ops.Snapshot()
-	for _, n := range ops {
-		buf = binary.LittleEndian.AppendUint64(buf, n)
-	}
+	w.Words(ops[:])
 	for _, b := range d.ModelsBin {
-		buf = appendWords(buf, b.Words)
+		w.Words(b.Words)
 	}
-	for _, s := range d.ModelScale {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-	}
+	w.Floats(d.ModelScale)
 	for _, b := range d.ClustersBin {
-		buf = appendWords(buf, b.Words)
+		w.Words(b.Words)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, deltaCRC)), nil
-}
-
-// appendVector appends the Float64bits of every component.
-func appendVector(buf []byte, v hdc.Vector) []byte {
-	for _, x := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	if err := w.Close(); err != nil {
+		return nil, err
 	}
-	return buf
+	return buf.Bytes(), nil
 }
 
-// appendWords appends a binary shadow's packed words.
-func appendWords(buf []byte, ws []uint64) []byte {
-	for _, w := range ws {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf
-}
-
-// deltaReader is a bounds-checked cursor over an encoded delta; every read
-// failure latches corrupt.
-type deltaReader struct {
-	data    []byte
-	pos     int
-	corrupt bool
-}
-
-func (r *deltaReader) bytes(n int) []byte {
-	if r.corrupt || n < 0 || len(r.data)-r.pos < n {
-		r.corrupt = true
+// readShadows reads n bit-packed binary vectors of dimension dim into one
+// word slab, enforcing the zero-tail-bits invariant the Hamming kernels
+// rely on. Nil for n == 0.
+func readShadows(r *wire.Reader, n, dim int) []*hdc.Binary {
+	words := (dim + 63) / 64
+	slab := r.Words(n * words)
+	if n == 0 || len(slab) < n*words {
 		return nil
 	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *deltaReader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *deltaReader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *deltaReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// count reads a section-count header field and validates it against the
-// wire limit before anything is sized from it.
-func (r *deltaReader) count(max int) int {
-	n := r.u32()
-	if int64(n) > int64(max) {
-		r.corrupt = true
-		return 0
-	}
-	return int(n)
-}
-
-// vector reads one dense vector of the given dimensionality.
-func (r *deltaReader) vector(dim int) hdc.Vector {
-	if r.corrupt {
-		return nil
-	}
-	v := hdc.NewVector(dim)
-	for j := range v {
-		v[j] = r.f64()
-	}
-	return v
-}
-
-// shadow reads one bit-packed binary shadow, enforcing the zero-tail-bits
-// invariant the Hamming kernels rely on.
-func (r *deltaReader) shadow(dim int) *hdc.Binary {
-	if r.corrupt {
-		return nil
-	}
-	b := hdc.NewBinary(dim)
-	for j := range b.Words {
-		b.Words[j] = r.u64()
-	}
-	if tail := dim % 64; tail != 0 && len(b.Words) > 0 {
-		if b.Words[len(b.Words)-1]>>uint(tail) != 0 {
-			r.corrupt = true
+	bs := make([]*hdc.Binary, n)
+	for i := range bs {
+		ws := slab[i*words : (i+1)*words : (i+1)*words]
+		if tail := dim % 64; tail != 0 && ws[words-1]>>uint(tail) != 0 {
+			r.Fail("binary vector %d has bits set past dimension %d", i, dim)
 			return nil
 		}
+		bs[i] = &hdc.Binary{Words: ws, Dim: dim}
 	}
-	return b
+	return bs
 }
 
 // DecodeDelta parses a payload produced by Delta.Encode. Any structural
@@ -257,84 +169,49 @@ func (r *deltaReader) shadow(dim int) *hdc.Binary {
 // consistently (all vectors share one dimensionality, shadow tail bits are
 // zero). The returned delta owns its memory.
 func DecodeDelta(data []byte) (*Delta, error) {
-	if len(data) < len(deltaWireMagic)+1+4 {
-		return nil, fmt.Errorf("%w: %d-byte payload is shorter than the header", ErrCorruptDelta, len(data))
+	d, err := decodeDelta(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptDelta, err)
 	}
-	if string(data[:len(deltaWireMagic)]) != deltaWireMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorruptDelta)
+	return d, nil
+}
+
+func decodeDelta(data []byte) (*Delta, error) {
+	r, err := wire.NewReader(bytes.NewReader(data), int64(len(data)), deltaFormat)
+	if err != nil {
+		return nil, err
 	}
-	if v := data[len(deltaWireMagic)]; v != deltaWireVersion {
-		return nil, fmt.Errorf("%w: unknown wire version %d (have %d)", ErrCorruptDelta, v, deltaWireVersion)
-	}
-	// Checksum first: everything after this point may trust the bytes to be
-	// the bytes the encoder wrote.
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, deltaCRC) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptDelta)
-	}
-	r := &deltaReader{data: body, pos: len(deltaWireMagic) + 1}
-	dim := r.count(deltaWireMaxDim)
-	d := &Delta{Samples: r.u64(), CalibA: r.f64(), CalibB: r.f64()}
-	nModels := r.count(deltaWireMaxVecs)
-	nClusters := r.count(deltaWireMaxVecs)
-	nAssign := r.count(deltaWireMaxVecs)
-	nModelsBin := r.count(deltaWireMaxVecs)
-	nScales := r.count(deltaWireMaxVecs)
-	nClustersBin := r.count(deltaWireMaxVecs)
-	nOps := r.count(int(hdc.NumOps))
-	if r.corrupt || nOps != int(hdc.NumOps) {
-		return nil, fmt.Errorf("%w: malformed section header", ErrCorruptDelta)
+	dim := r.Count(deltaWireMaxDim)
+	d := &Delta{Samples: r.U64(), CalibA: r.F64(), CalibB: r.F64()}
+	nModels := r.Count(deltaWireMaxVecs)
+	nClusters := r.Count(deltaWireMaxVecs)
+	nAssign := r.Count(deltaWireMaxVecs)
+	nModelsBin := r.Count(deltaWireMaxVecs)
+	nScales := r.Count(deltaWireMaxVecs)
+	nClustersBin := r.Count(deltaWireMaxVecs)
+	nOps := r.Count(int(hdc.NumOps))
+	if r.Err() != nil || nOps != int(hdc.NumOps) {
+		return nil, r.Fail("malformed section header")
 	}
 	// The header fully determines the payload size; reject any disagreement
 	// before allocating the sections.
 	words := (dim + 63) / 64
-	want := int64(r.pos) +
-		8*int64(nModels+nClusters)*int64(dim) + 8*int64(nAssign) + 8*int64(nOps) +
+	want := 8*int64(nModels+nClusters)*int64(dim) + 8*int64(nAssign) + 8*int64(nOps) +
 		8*int64(nModelsBin+nClustersBin)*int64(words) + 8*int64(nScales)
-	if want != int64(len(body)) {
-		return nil, fmt.Errorf("%w: header promises %d payload bytes, have %d", ErrCorruptDelta, want, int64(len(body)))
+	if want != r.Left() {
+		return nil, r.Fail("header promises %d payload bytes, have %d", want, r.Left())
 	}
-	if nModels > 0 {
-		d.Models = make([]hdc.Vector, nModels)
-		for i := range d.Models {
-			d.Models[i] = r.vector(dim)
-		}
+	d.Models = hdc.Rows(r.Floats(nModels*dim), nModels, dim)
+	d.Clusters = hdc.Rows(r.Floats(nClusters*dim), nClusters, dim)
+	d.AssignN = r.Words(nAssign)
+	for op, n := range r.Words(nOps) {
+		d.Ops.Add(hdc.Op(op), n)
 	}
-	if nClusters > 0 {
-		d.Clusters = make([]hdc.Vector, nClusters)
-		for i := range d.Clusters {
-			d.Clusters[i] = r.vector(dim)
-		}
-	}
-	if nAssign > 0 {
-		d.AssignN = make([]uint64, nAssign)
-		for i := range d.AssignN {
-			d.AssignN[i] = r.u64()
-		}
-	}
-	for op := hdc.Op(0); op < hdc.NumOps; op++ {
-		d.Ops.Add(op, r.u64())
-	}
-	if nModelsBin > 0 {
-		d.ModelsBin = make([]*hdc.Binary, nModelsBin)
-		for i := range d.ModelsBin {
-			d.ModelsBin[i] = r.shadow(dim)
-		}
-	}
-	if nScales > 0 {
-		d.ModelScale = make([]float64, nScales)
-		for i := range d.ModelScale {
-			d.ModelScale[i] = r.f64()
-		}
-	}
-	if nClustersBin > 0 {
-		d.ClustersBin = make([]*hdc.Binary, nClustersBin)
-		for i := range d.ClustersBin {
-			d.ClustersBin[i] = r.shadow(dim)
-		}
-	}
-	if r.corrupt {
-		return nil, fmt.Errorf("%w: truncated payload", ErrCorruptDelta)
+	d.ModelsBin = readShadows(r, nModelsBin, dim)
+	d.ModelScale = r.Floats(nScales)
+	d.ClustersBin = readShadows(r, nClustersBin, dim)
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -57,25 +57,15 @@ func (m *Model) FaultView() FaultView {
 // prediction scratch pool, rng) is private to the clone, which is what
 // lets FitParallel train clones concurrently under -race.
 func (m *Model) Clone() *Model {
-	c := &Model{
-		params:  m.params,
-		trained: m.trained,
-		samples: m.samples,
-		rng:     rand.New(rand.NewSource(m.cfg.Seed)),
-		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
+	var assignN []uint64
+	if m.assignN != nil {
+		assignN = append([]uint64(nil), m.assignN...)
 	}
+	c := withState(m.params, m.trained, m.samples, assignN)
 	c.clusters = cloneVectors(m.clusters)
 	c.models = cloneVectors(m.models)
 	c.modelsBin = cloneBinaries(m.modelsBin)
 	c.modelScale = append([]float64(nil), m.modelScale...)
-	c.clustersSet, c.clustersBin = clusterSlab(m.clustersBin)
-	if m.assignN != nil {
-		c.assignN = append([]uint64(nil), m.assignN...)
-	}
-	if m.cfg.Models > 1 {
-		c.sims = make([]float64, m.cfg.Models)
-		c.conf = make([]float64, m.cfg.Models)
-	}
 	return c
 }
 

@@ -157,18 +157,11 @@ func New(enc encoding.Encoder, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	bufEnc, _ := enc.(encoding.BufferedEncoder)
-	m := &Model{
-		params: params{
-			cfg:    cfg,
-			enc:    enc,
-			bufEnc: bufEnc,
-			dim:    enc.Dim(),
-			calibA: 1,
-		},
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		scratch: newScratchPool(cfg.Models, enc.Dim(), cfg.PredictMode.UsesRawQuery(), bufEnc != nil),
+	var assignN []uint64
+	if cfg.Models > 1 {
+		assignN = make([]uint64, cfg.Models)
 	}
+	m := withState(params{cfg: cfg, enc: enc, dim: enc.Dim(), calibA: 1}, false, 0, assignN)
 	m.models = make([]hdc.Vector, cfg.Models)
 	for i := range m.models {
 		m.models[i] = hdc.NewVector(m.dim)
@@ -195,11 +188,30 @@ func New(enc encoding.Encoder, cfg Config) (*Model, error) {
 			}
 			m.clustersSet, m.clustersBin = clusterSlab(packed)
 		}
-		m.sims = make([]float64, cfg.Models)
-		m.conf = make([]float64, cfg.Models)
-		m.assignN = make([]uint64, cfg.Models)
 	}
 	return m, nil
+}
+
+// withState returns a Model over p, whose learned state is already in
+// place, adding what every constructor adds: the encoder's buffered view,
+// the seeded shuffling stream, the prediction scratch pool, the binary
+// cluster slab (a fresh copy of p.clustersBin) and the training scratch.
+func withState(p params, trained bool, samples uint64, assignN []uint64) *Model {
+	m := &Model{
+		params:  p,
+		trained: trained,
+		samples: samples,
+		assignN: assignN,
+		rng:     rand.New(rand.NewSource(p.cfg.Seed)),
+	}
+	m.bufEnc, _ = p.enc.(encoding.BufferedEncoder)
+	m.scratch = newScratchPool(p.cfg.Models, p.dim, p.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil)
+	m.clustersSet, m.clustersBin = clusterSlab(p.clustersBin)
+	if p.cfg.Models > 1 {
+		m.sims = make([]float64, p.cfg.Models)
+		m.conf = make([]float64, p.cfg.Models)
+	}
+	return m
 }
 
 // clusterSlab copies binary cluster shadows into a fresh contiguous slab

@@ -19,7 +19,7 @@ type Scaler struct {
 }
 
 // fitted reports whether the scaler holds statistics (it round-trips
-// through gob, so the check is structural).
+// through checkpoints, so the check is structural).
 func (s *Scaler) fitted() bool { return len(s.Mean) > 0 }
 
 // FitScaler computes feature statistics (and target statistics when

@@ -574,14 +574,7 @@ func TestGobRoundTripRestoresPackedProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := e.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored Nonlinear
-	if err := restored.GobDecode(blob); err != nil {
-		t.Fatal(err)
-	}
+	restored := roundTrip(t, e).(*Nonlinear)
 	if restored.packed == nil {
 		t.Fatal("restored bipolar encoder lost its packed projection")
 	}
@@ -598,15 +591,7 @@ func TestGobRoundTripRestoresPackedProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err = g.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gr Nonlinear
-	if err := gr.GobDecode(blob); err != nil {
-		t.Fatal(err)
-	}
-	if gr.packed != nil {
+	if roundTrip(t, g).(*Nonlinear).packed != nil {
 		t.Fatal("Gaussian encoder acquired a packed projection on load")
 	}
 }

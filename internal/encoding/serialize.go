@@ -1,116 +1,131 @@
 package encoding
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 
 	"reghd/internal/hdc"
+	"reghd/internal/wire"
 )
 
-// nonlinearState is the wire form of a Nonlinear encoder. The per-dimension
-// centers are derived from the biases, so they are not serialized.
-type nonlinearState struct {
-	Dim, Features int
-	Bandwidth     float64
-	Proj, Bias    []float64
+// This file is the encoder section of a model checkpoint (the frame is
+// internal/core/serialize.go's): a kind byte, the kind's shape fields, then
+// its tables as little-endian float64s.
+//
+//	Nonlinear  features u32, dim u32, bandwidth f64, proj[features·dim], bias[dim]
+//	IDLevel    features u32, dim u32, levels u32, lo f64, hi f64, ids[features·dim], lvls[levels·dim]
+//	Sequence   window u32, then the base encoder's section
+//
+// Derived state (the Nonlinear centers and packed projection) is rebuilt on
+// read, not stored.
+
+// Encoder section kinds.
+const (
+	kindNonlinear = 1
+	kindIDLevel   = 2
+	kindSequence  = 3
+)
+
+// Bounds the reader checks shape fields against before sizing anything from
+// them: maxShape for dimensions, feature, level and window counts, and
+// maxNesting for Sequence-in-Sequence depth.
+const (
+	maxShape   = 1 << 24
+	maxNesting = 8
+)
+
+// WriteEncoder writes the checkpoint section of e. It fails for encoder
+// types that have no section.
+func WriteEncoder(w *wire.Writer, e Encoder) error {
+	switch e := e.(type) {
+	case *Nonlinear:
+		w.U8(kindNonlinear)
+		w.U32(uint32(e.features))
+		w.U32(uint32(e.dim))
+		w.F64(e.bandwidth)
+		w.Floats(e.proj)
+		w.Floats(e.bias)
+	case *IDLevel:
+		w.U8(kindIDLevel)
+		w.U32(uint32(e.features))
+		w.U32(uint32(e.dim))
+		w.U32(uint32(e.levels))
+		w.F64(e.lo)
+		w.F64(e.hi)
+		for _, v := range e.ids {
+			w.Floats(v)
+		}
+		for _, v := range e.lvls {
+			w.Floats(v)
+		}
+	case *Sequence:
+		w.U8(kindSequence)
+		w.U32(uint32(e.window))
+		return WriteEncoder(w, e.base)
+	default:
+		return fmt.Errorf("encoding: %T has no checkpoint section", e)
+	}
+	return nil
 }
 
-// GobEncode implements gob.GobEncoder.
-func (e *Nonlinear) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	st := nonlinearState{
-		Dim:       e.dim,
-		Features:  e.features,
-		Bandwidth: e.bandwidth,
-		Proj:      e.proj,
-		Bias:      e.bias,
+// ReadEncoder reads an encoder section written by WriteEncoder. Every
+// failure, including a shape no constructor would accept, is latched on r
+// as a corruption error and returned.
+func ReadEncoder(r *wire.Reader) (Encoder, error) { return readEncoder(r, 0) }
+
+func readEncoder(r *wire.Reader, depth int) (Encoder, error) {
+	switch kind := r.U8(); {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case kind == kindNonlinear:
+		return readNonlinear(r)
+	case kind == kindIDLevel:
+		return readIDLevel(r)
+	case kind == kindSequence && depth < maxNesting:
+		window := r.Count(maxShape)
+		base, err := readEncoder(r, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		if window < 1 {
+			return nil, r.Fail("sequence encoder window %d", window)
+		}
+		return &Sequence{base: base, window: window}, nil
+	default:
+		return nil, r.Fail("encoder kind %d at nesting depth %d", kind, depth)
 	}
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("encoding: serializing nonlinear encoder: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
-func (e *Nonlinear) GobDecode(data []byte) error {
-	var st nonlinearState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("encoding: deserializing nonlinear encoder: %w", err)
+func readNonlinear(r *wire.Reader) (Encoder, error) {
+	e := &Nonlinear{features: r.Count(maxShape), dim: r.Count(maxShape), bandwidth: r.F64()}
+	e.proj = r.Floats(e.features * e.dim)
+	e.bias = r.Floats(e.dim)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	switch {
-	case st.Dim <= 0 || st.Features <= 0 || st.Bandwidth <= 0:
-		return fmt.Errorf("encoding: invalid nonlinear encoder state (dim=%d features=%d bw=%v)", st.Dim, st.Features, st.Bandwidth)
-	case len(st.Proj) != st.Features*st.Dim:
-		return fmt.Errorf("encoding: projection length %d, want %d", len(st.Proj), st.Features*st.Dim)
-	case len(st.Bias) != st.Dim:
-		return fmt.Errorf("encoding: bias length %d, want %d", len(st.Bias), st.Dim)
+	if e.dim == 0 || e.features == 0 || !(e.bandwidth > 0) {
+		return nil, r.Fail("nonlinear encoder shape dim=%d features=%d bandwidth=%v", e.dim, e.features, e.bandwidth)
 	}
-	e.dim = st.Dim
-	e.features = st.Features
-	e.bandwidth = st.Bandwidth
-	e.proj = st.Proj
-	e.bias = st.Bias
-	e.center = make([]float64, st.Dim)
-	for j, b := range st.Bias {
+	e.center = make([]float64, e.dim)
+	for j, b := range e.bias {
 		e.center[j] = -math.Sin(b) / 2
 	}
 	// Re-derive the bit-packed projection: when every entry is ±1 (bipolar
 	// base hypervectors) the restored encoder runs the same sign-selected
 	// add/sub kernel as the one that was saved.
-	if sm, ok := hdc.PackSignsFlat(e.proj, e.features, e.dim); ok {
-		e.packed = sm
-	} else {
-		e.packed = nil
-	}
-	return nil
+	e.packed, _ = hdc.PackSignsFlat(e.proj, e.features, e.dim)
+	return e, nil
 }
 
-// idLevelState is the wire form of an IDLevel encoder.
-type idLevelState struct {
-	Dim, Features, Levels int
-	Lo, Hi                float64
-	IDs, Lvls             []hdc.Vector
-}
-
-// GobEncode implements gob.GobEncoder.
-func (e *IDLevel) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	st := idLevelState{
-		Dim: e.dim, Features: e.features, Levels: e.levels,
-		Lo: e.lo, Hi: e.hi, IDs: e.ids, Lvls: e.lvls,
+func readIDLevel(r *wire.Reader) (Encoder, error) {
+	e := &IDLevel{features: r.Count(maxShape), dim: r.Count(maxShape), levels: r.Count(maxShape), lo: r.F64(), hi: r.F64()}
+	e.ids = hdc.Rows(r.Floats(e.features*e.dim), e.features, e.dim)
+	e.lvls = hdc.Rows(r.Floats(e.levels*e.dim), e.levels, e.dim)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("encoding: serializing id-level encoder: %w", err)
+	if e.dim == 0 || e.features == 0 || e.levels < 2 || !(e.lo < e.hi) {
+		return nil, r.Fail("id-level encoder shape dim=%d features=%d levels=%d range=[%v, %v]", e.dim, e.features, e.levels, e.lo, e.hi)
 	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (e *IDLevel) GobDecode(data []byte) error {
-	var st idLevelState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("encoding: deserializing id-level encoder: %w", err)
-	}
-	switch {
-	case st.Dim <= 0 || st.Features <= 0 || st.Levels < 2 || !(st.Lo < st.Hi):
-		return fmt.Errorf("encoding: invalid id-level encoder state")
-	case len(st.IDs) != st.Features || len(st.Lvls) != st.Levels:
-		return fmt.Errorf("encoding: id-level table sizes %d/%d, want %d/%d", len(st.IDs), len(st.Lvls), st.Features, st.Levels)
-	}
-	e.dim = st.Dim
-	e.features = st.Features
-	e.levels = st.Levels
-	e.lo, e.hi = st.Lo, st.Hi
-	e.ids = st.IDs
-	e.lvls = st.Lvls
-	return nil
-}
-
-func init() {
-	// Register the concrete encoders so they can travel inside an
-	// encoding.Encoder interface field.
-	gob.Register(&Nonlinear{})
-	gob.Register(&IDLevel{})
+	return e, nil
 }

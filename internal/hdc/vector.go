@@ -180,3 +180,19 @@ func CheckDims(d int, vs ...Vector) error {
 	}
 	return nil
 }
+
+// Rows splits slab into n rows of dimension dim. The rows are
+// capacity-capped views sharing the slab's memory, so a store of n vectors
+// costs one allocation. Nil when n is 0 or slab holds fewer than n rows.
+//
+//lint:nocount slices headers over decoded checkpoint state; no vector arithmetic
+func Rows(slab []float64, n, dim int) []Vector {
+	if n == 0 || len(slab) < n*dim {
+		return nil
+	}
+	vs := make([]Vector, n)
+	for i := range vs {
+		vs[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return vs
+}

@@ -1,12 +1,9 @@
 package reghd
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"reghd/internal/core"
@@ -157,65 +154,36 @@ func (p *Pipeline) Evaluate(d *Dataset) (float64, error) {
 	return dataset.MSE(pred, d.Y)
 }
 
-// pipelineState is the wire form of a fitted pipeline: the scaler plus the
-// model's own serialization.
-type pipelineState struct {
-	Scaler *Scaler
-	Model  []byte
-}
-
 // Save serializes the fitted pipeline — model and standardization together,
-// so a restored pipeline predicts in original units immediately.
+// as a checkpoint with a scaler section — so a restored pipeline predicts
+// in original units immediately.
 func (p *Pipeline) Save(w io.Writer) error {
 	if p.scaler == nil {
 		return errors.New("reghd: pipeline has not been fitted")
 	}
-	var mbuf bytes.Buffer
-	if err := p.model.Save(&mbuf); err != nil {
-		return err
-	}
-	st := pipelineState{Scaler: p.scaler, Model: mbuf.Bytes()}
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
-		return fmt.Errorf("reghd: saving pipeline: %w", err)
-	}
-	return nil
+	return p.model.SaveCheckpoint(w, p.scaler)
 }
 
-// SaveFile saves the pipeline to a file path.
-func (p *Pipeline) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("reghd: %w", err)
-	}
-	if err := p.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// SaveFile saves the pipeline to a file path atomically (temp file, sync,
+// rename), so a reader never sees a torn checkpoint.
+func (p *Pipeline) SaveFile(path string) error { return core.WriteFileAtomic(path, p.Save) }
 
-// LoadPipeline restores a pipeline previously written with Save.
-func LoadPipeline(r io.Reader) (*Pipeline, error) {
-	var st pipelineState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("reghd: loading pipeline: %w", err)
-	}
-	if st.Scaler == nil {
-		return nil, errors.New("reghd: loaded pipeline has no scaler")
-	}
-	m, err := core.Load(bytes.NewReader(st.Model))
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{model: m, scaler: st.Scaler}, nil
-}
+// LoadPipeline restores a pipeline previously written with Save. Damaged
+// input returns an error wrapping ErrCorruptModel; a bare model checkpoint
+// (no scaler section) is rejected — load it with LoadModel.
+func LoadPipeline(r io.Reader) (*Pipeline, error) { return pipelineOf(core.LoadCheckpoint(r)) }
 
 // LoadPipelineFile restores a pipeline from a file path.
 func LoadPipelineFile(path string) (*Pipeline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("reghd: %w", err)
+	return pipelineOf(core.LoadCheckpointFile(path))
+}
+
+func pipelineOf(m *Model, sc *Scaler, err error) (*Pipeline, error) {
+	if err == nil && sc == nil {
+		err = errors.New("reghd: checkpoint holds a bare model (no scaler section); load it with LoadModel")
 	}
-	defer f.Close()
-	return LoadPipeline(f)
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{model: m, scaler: sc}, nil
 }

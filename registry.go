@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"reghd/internal/core"
 	"reghd/internal/obs"
 )
 
@@ -53,7 +54,8 @@ var ErrUnknownTenant = errors.New("reghd: unknown tenant")
 var ErrModelLoad = errors.New("reghd: model load failed")
 
 // ModelExt is the checkpoint filename extension the registry serves: tenant
-// key t maps to <Dir>/<t>.gob.
+// key t maps to <Dir>/<t>.gob. The extension is historical; the content is
+// the framed, checksummed checkpoint Model.Save and Pipeline.Save write.
 const ModelExt = ".gob"
 
 // RegistryConfig configures NewRegistry.
@@ -291,28 +293,21 @@ func (r *Registry) load(tenant string) (*Engine, error) {
 	return eng, nil
 }
 
-// loadEngineFile builds a serving engine from one checkpoint file: a
-// pipeline checkpoint (model + scaler, served in original units) or a bare
-// model checkpoint. Returns the engine and the model's deployment bytes —
-// the quantity the byte budget accounts.
+// loadEngineFile builds a serving engine from one checkpoint file, decoded
+// once: a pipeline checkpoint (model + scaler, served in original units)
+// or a bare model checkpoint. Returns the engine and the model's deployment
+// bytes — the quantity the byte budget accounts.
 func loadEngineFile(path string) (*Engine, int64, error) {
-	if pipe, perr := LoadPipelineFile(path); perr == nil {
-		eng, err := NewPipelineEngine(pipe)
-		if err != nil {
-			return nil, 0, err
-		}
-		return eng, int64(pipe.Model().DeploymentBytes()), nil
-	} else if m, merr := LoadModelFile(path); merr == nil {
-		eng, err := NewEngine(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return eng, int64(m.DeploymentBytes()), nil
-	} else {
-		// Neither decoded; the pipeline error names the file's failure for
-		// the common (reghd-train -save) format.
-		return nil, 0, perr
+	m, sc, err := core.LoadCheckpointFile(path)
+	if err != nil {
+		return nil, 0, err
 	}
+	eng, err := NewEngine(m)
+	if err != nil {
+		return nil, 0, err
+	}
+	eng.scaler = sc
+	return eng, int64(m.DeploymentBytes()), nil
 }
 
 // evictLocked removes least-recently-used tenants until both budgets hold,
