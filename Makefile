@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-quick cover bench bench-quick bench-json bench-train-json bench-check experiments fuzz fuzz-smoke chaos fleet-smoke replica-smoke train-smoke examples serve-demo lint lint-sarif metrics-lint bench-metrics clean
+.PHONY: all build vet test race race-quick cover bench bench-quick bench-json bench-train-json bench-check experiments fuzz fuzz-smoke chaos replica-smoke train-smoke examples serve-demo lint lint-sarif metrics-lint bench-metrics clean
 
 # Tier-1 flow: build, vet, tests, the full race-detector pass, and the
 # static-analysis suite, so the concurrency contracts (Snapshot serving,
@@ -42,13 +42,13 @@ bench-quick:
 # (bench_kernels_test.go) and writes BENCH_kernels.json with ns/op plus
 # baseline→optimized speedups. See docs/PERFORMANCE.md.
 bench-json:
-	$(GO) test -run xxx -bench 'Project$$|Encode$$|EncodeBatch$$|SimilarityK$$|EnginePredict$$|EnginePredictCoalesce$$' -benchtime=1s -count=3 . \
+	$(GO) test -run xxx -bench 'Project$$|Encode$$|EncodeBatch$$|SimilarityK$$|EnginePredict$$' -benchtime=1s -count=3 . \
 		| $(GO) run ./cmd/reghd-benchjson -o BENCH_kernels.json
 
 # Sharded-training before/after record: runs the FitParallel serial-vs-N
 # worker pairs (bench_train_test.go) and writes BENCH_train.json. The w2/w4
 # speedups only exceed 1.0x when GOMAXPROCS >= workers; the context block
-# records gomaxprocs so the JSON is honest about the cores it had. See
+# records gomaxprocs and nproc so the JSON is honest about the cores it had. See
 # docs/TRAINING.md.
 bench-train-json:
 	$(GO) test -run xxx -bench 'FitParallel$$' -benchtime=2x -count=3 . \
@@ -60,9 +60,7 @@ bench-train-json:
 # 0.95 tolerance (orchestration overhead must stay within noise; multi-
 # worker pairs are excluded because on a 1-core runner they sit at parity
 # by design — see docs/TRAINING.md). Short benchtime — this is a smoke
-# gate, not the record; the coalescing pair is excluded because on few-core
-# machines it sits at parity by design (see docs/PERFORMANCE.md) and would
-# flake.
+# gate, not the record.
 bench-check:
 	$(GO) test -run xxx -bench 'EncodeBatch$$|SimilarityK$$' -benchtime=0.3s -count=2 . \
 		| $(GO) run ./cmd/reghd-benchjson -fail-on-regression -o -
@@ -114,11 +112,14 @@ fuzz:
 # the two framed decoders — checkpoints (FuzzLoad, seeded with the golden
 # files in internal/core/testdata/) and replication deltas (FuzzDeltaWire):
 # arbitrary bytes must fail typed, never panic, and anything accepted must
-# re-encode to a fixed point.
+# re-encode to a fixed point — and the /predict body decoder (FuzzDecodeRow):
+# arbitrary bodies must fail with a typed 400/413, or decode to a row that
+# round-trips bit for bit.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzSignProject -fuzztime=20s ./internal/hdc/
 	$(GO) test -run '^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz='^FuzzDeltaWire$$' -fuzztime=20s ./internal/core/
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeRow$$' -fuzztime=10s ./internal/httpx/
 
 # Fault-injection chaos pass (docs/ROBUSTNESS.md): the serving-hardening
 # stress tests under the race detector — readers hammering an engine whose
@@ -129,13 +130,6 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestEngineChaos|TestEnginePanicContainment|TestEngineDegradedMode|TestEngineAdmissionGate|TestEngineMetricsErrors' .
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -fuzz=FuzzBitFlip -fuzztime=15s ./internal/fault/
-
-# End-to-end multi-tenant serving smoke (docs/SERVING.md): seed an
-# 8-tenant fleet, serve it on an ephemeral port with a resident budget of
-# 4, drive a 5s zipfian reghd-loadgen mix under a generous SLO, and fail
-# on SLO violation, any request error, or zero observed LRU evictions.
-fleet-smoke:
-	sh ./scripts/fleet_smoke.sh
 
 # Replicated-serving smoke (docs/REPLICATION.md): three reghd-replica
 # processes exchanging deltas over HTTP through seeded chaos (10% drop

@@ -3,7 +3,6 @@ package reghd
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"reghd/internal/core"
@@ -276,8 +275,8 @@ func BenchmarkEnginePredict(b *testing.B) {
 	}
 }
 
-// benchKernelEngine builds the k=8, D=4096 serving engine the engine-level
-// benchmarks share.
+// benchKernelEngine builds the k=8, D=4096 serving engine
+// BenchmarkEnginePredict drives.
 func benchKernelEngine(b *testing.B) (*Engine, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(26))
@@ -305,36 +304,4 @@ func benchKernelEngine(b *testing.B) (*Engine, []float64) {
 		b.Fatal(err)
 	}
 	return e, train.X[0]
-}
-
-// BenchmarkEnginePredictCoalesce drives the engine with 8 concurrent
-// single-row callers, direct against the coalescing window — the
-// contention shape the coalescer exists for. Per-op time divides the same
-// total work either way; the win is per-batch fixed costs (snapshot
-// resolution, scratch checkout, per-call bookkeeping) amortized across the
-// window, so the coalesced lane's margin grows with cores and with caller
-// count. On one core the two lanes sit near parity — the compute itself
-// cannot be parallelized away (see docs/PERFORMANCE.md).
-func BenchmarkEnginePredictCoalesce(b *testing.B) {
-	e, x := benchKernelEngine(b)
-	lane := func(coalesce bool) func(*testing.B) {
-		return func(b *testing.B) {
-			if coalesce {
-				e.EnableCoalescing(CoalesceConfig{MaxBatch: 8})
-				defer e.DisableCoalescing()
-			}
-			// 8 caller goroutines regardless of GOMAXPROCS.
-			b.SetParallelism((8 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := e.Predict(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-	b.Run("direct-8callers-n32-D4096", lane(false))
-	b.Run("coalesced-8callers-n32-D4096", lane(true))
 }

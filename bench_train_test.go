@@ -14,8 +14,8 @@ import (
 // the same task, so the pair's speedup IS the parallel scaling at that
 // worker count (`make bench-train-json` records the pairs in
 // BENCH_train.json). The serial lanes are deliberately identical runs —
-// honest repeated baselines, the same convention as the PR 6 coalescing
-// pair. The w1 pair is the no-regression gate (`make bench-check` allows
+// honest repeated baselines, so each pair's spread is visible beside its
+// speedup. The w1 pair is the no-regression gate (`make bench-check` allows
 // 0.95x — orchestration overhead must be nil, not negative); the w2/w4
 // pairs document scaling and reach near-linear only when GOMAXPROCS ≥
 // workers — on a 1-core runner they hover around 1.0x, the honest caveat

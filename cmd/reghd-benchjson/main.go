@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -60,14 +61,18 @@ type Pair struct {
 
 // Report is the BENCH_kernels.json document.
 type Report struct {
-	// Context lines from the bench output (goos/goarch/pkg/cpu).
+	// Context lines from the bench output (goos/goarch/pkg/cpu), plus the
+	// machine the record was made on: gomaxprocs from the benchmark names'
+	// -N suffix ("1" when go test printed none) and nproc, the core count
+	// (runtime.NumCPU) of the machine running this tool.
 	Context map[string]string `json:"context"`
 	Results []Result          `json:"results"`
 	Pairs   []Pair            `json:"pairs"`
 }
 
 // benchLine matches "BenchmarkName-8   1234   56789 ns/op ..."; the -N
-// suffix is go test's GOMAXPROCS stamp, recorded in the context block.
+// suffix is go test's GOMAXPROCS stamp, recorded in the context block. go
+// test omits it at GOMAXPROCS=1.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op`)
 
 // swaps maps each baseline token to the optimized tokens it may pair with.
@@ -75,22 +80,27 @@ var swaps = map[string][]string{
 	"dense":  {"packed"},
 	"naive":  {"packed", "fused"},
 	"serial": {"parallel"},
-	"direct": {"coalesced"},
 }
 
 // parse reads `go test -bench` output and pairs lanes; tolerance is the
 // regression threshold — a pair regresses when speedup < tolerance (1.0
 // means "optimized may not be slower at all"; near-parity pairs such as the
-// 1-worker FitParallel lane gate at 0.95).
+// 1-worker FitParallel lane gate at 0.95). Lines stamped with different
+// GOMAXPROCS are an error: one record describes one machine setting.
 func parse(r *bufio.Scanner, tolerance float64) (*Report, error) {
-	rep := &Report{Context: map[string]string{}}
+	rep := &Report{Context: map[string]string{"nproc": strconv.Itoa(runtime.NumCPU())}}
 	byName := map[string]int{}
 	for r.Scan() {
 		line := strings.TrimSpace(r.Text())
 		if m := benchLine.FindStringSubmatch(line); m != nil {
-			if m[2] != "" {
-				rep.Context["gomaxprocs"] = m[2]
+			procs := m[2]
+			if procs == "" {
+				procs = "1"
 			}
+			if prev, ok := rep.Context["gomaxprocs"]; ok && prev != procs {
+				return nil, fmt.Errorf("benchmark lines disagree on GOMAXPROCS (%s, then %s at %q)", prev, procs, line)
+			}
+			rep.Context["gomaxprocs"] = procs
 			iters, err := strconv.ParseInt(m[3], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad iteration count in %q: %w", line, err)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,8 +16,6 @@ BenchmarkEncodeBatch/serial-256rows-n32-D4096         	       4	  51558680 ns/op
 BenchmarkEncodeBatch/parallel-256rows-n32-D4096       	       5	  42687944 ns/op	 8395164 B/op	       3 allocs/op
 BenchmarkSimilarityK/hamming-naive-k8-D4096           	  418390	       509.9 ns/op
 BenchmarkSimilarityK/hamming-fused-k8-D4096           	  565898	       600.0 ns/op
-BenchmarkEnginePredictCoalesce/direct-8callers-n32-D4096    	    1059	    223170 ns/op
-BenchmarkEnginePredictCoalesce/coalesced-8callers-n32-D4096 	    1030	    221961 ns/op
 PASS
 `
 
@@ -41,17 +41,13 @@ func pairFor(t *testing.T, rep *Report, baseline string) Pair {
 
 func TestParsePairsAndRegressionFlag(t *testing.T) {
 	rep := parseString(t, sample)
-	if len(rep.Pairs) != 3 {
-		t.Fatalf("got %d pairs, want 3: %+v", len(rep.Pairs), rep.Pairs)
+	if len(rep.Pairs) != 2 {
+		t.Fatalf("got %d pairs, want 2: %+v", len(rep.Pairs), rep.Pairs)
 	}
 
 	enc := pairFor(t, rep, "serial")
 	if enc.Regression || enc.Speedup < 1.2 {
 		t.Fatalf("serial→parallel pair misclassified: %+v", enc)
-	}
-	coal := pairFor(t, rep, "direct")
-	if coal.Regression {
-		t.Fatalf("direct→coalesced pair misclassified: %+v", coal)
 	}
 	// The sample's fused hamming lane is deliberately slower than naive.
 	ham := pairFor(t, rep, "hamming-naive")
@@ -81,19 +77,32 @@ BenchmarkX/fused-lane    50   100 ns/op
 	}
 }
 
-// TestParseRecordsGOMAXPROCS pins the context capture: the -N suffix go
-// test stamps on benchmark names lands in the context block, so
-// BENCH_train.json records how many cores the scaling lanes actually had.
+// TestParseRecordsGOMAXPROCS pins the context capture: every record
+// carries gomaxprocs, from the -N suffix go test stamps on benchmark names
+// or "1" when it stamps none, and nproc, so BENCH_*.json records how many
+// cores the scaling lanes actually had. Lines that disagree on the suffix
+// fail the parse.
 func TestParseRecordsGOMAXPROCS(t *testing.T) {
 	rep := parseString(t, sample)
-	if rep.Context["gomaxprocs"] != "" {
-		t.Fatalf("sample has no -N suffixes, got gomaxprocs=%q", rep.Context["gomaxprocs"])
+	if rep.Context["gomaxprocs"] != "1" {
+		t.Fatalf("sample has no -N suffixes, got gomaxprocs=%q, want 1", rep.Context["gomaxprocs"])
+	}
+	if want := strconv.Itoa(runtime.NumCPU()); rep.Context["nproc"] != want {
+		t.Fatalf("nproc = %q, want %s", rep.Context["nproc"], want)
 	}
 	rep = parseString(t, `BenchmarkFitParallel/serial_w1-4    10   300 ns/op
 BenchmarkFitParallel/parallel_w1-4  10   305 ns/op
 `)
 	if rep.Context["gomaxprocs"] != "4" {
 		t.Fatalf("gomaxprocs = %q, want 4", rep.Context["gomaxprocs"])
+	}
+	for _, mixed := range []string{
+		"BenchmarkA-4    10   300 ns/op\nBenchmarkB-2    10   300 ns/op\n",
+		"BenchmarkA    10   300 ns/op\nBenchmarkB-2    10   300 ns/op\n",
+	} {
+		if _, err := parse(bufio.NewScanner(strings.NewReader(mixed)), 1.0); err == nil {
+			t.Fatalf("disagreeing GOMAXPROCS suffixes parsed without error:\n%s", mixed)
+		}
 	}
 }
 

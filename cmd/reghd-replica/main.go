@@ -36,6 +36,7 @@ import (
 
 	"reghd"
 	"reghd/internal/fault"
+	"reghd/internal/httpx"
 	"reghd/internal/obs"
 	"reghd/internal/repl"
 )
@@ -223,14 +224,11 @@ func run(ctx context.Context, o options) error {
 	})
 	mux.Handle("/metrics", obs.Handler())
 	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			X []float64 `json:"x"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		x, err := httpx.DecodeRow(w, r)
+		if err != nil {
 			return
 		}
-		y, err := replica.Predict(req.X)
+		y, err := replica.Predict(x)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
@@ -243,7 +241,7 @@ func run(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := httpx.NewServer(mux)
 	log.Printf("serving on http://%s (fleet of %d, shard %d rows)", ln.Addr(), o.members, shard.Len())
 
 	driverDone := make(chan error, 1)

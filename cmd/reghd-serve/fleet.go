@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"reghd"
+	"reghd/internal/httpx"
 	"reghd/internal/obs"
 )
 
@@ -19,12 +20,13 @@ import (
 // checkpoints, with lazy loads, LRU eviction under -max-resident /
 // -max-resident-bytes, per-tenant health, and the reghd.registry.* fleet
 // metrics on /metrics. docs/SERVING.md documents the architecture;
-// cmd/reghd-loadgen drives it.
+// `bash benchmark/run.sh` measures it end to end.
 
 // fleetMux builds the multi-model HTTP surface over a registry:
 //
 //	POST /predict/{model}   {"x":[...]} -> {"y":...}; 404 unknown tenant,
-//	                        503 model load failure, plus the single-model
+//	                        503 model load failure, 413 body over
+//	                        httpx.MaxBodyBytes, plus the single-model
 //	                        mappings (400/429/504)
 //	GET  /models            JSON tenant catalog with residency and arity
 //	GET  /healthz           fleet liveness (always "ok" once serving)
@@ -38,12 +40,8 @@ func fleetMux(reg *reghd.Registry, reqTimeout time.Duration) *http.ServeMux {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /predict/{model}", func(w http.ResponseWriter, r *http.Request) {
-		tenant := r.PathValue("model")
-		var req struct {
-			X []float64 `json:"x"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		x, err := httpx.DecodeRow(w, r)
+		if err != nil {
 			return
 		}
 		ctx := r.Context()
@@ -52,7 +50,7 @@ func fleetMux(reg *reghd.Registry, reqTimeout time.Duration) *http.ServeMux {
 			ctx, cancel = context.WithTimeout(ctx, reqTimeout)
 			defer cancel()
 		}
-		y, err := reg.PredictCtx(ctx, tenant, req.X)
+		y, err := reg.PredictCtx(ctx, r.PathValue("model"), x)
 		if err != nil {
 			http.Error(w, err.Error(), predictStatus(err))
 			return

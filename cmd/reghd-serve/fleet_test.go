@@ -4,38 +4,47 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"reghd"
+	"reghd/internal/httpx"
 )
 
-// testFleet seeds a two-tenant fleet plus one corrupt checkpoint into a temp
-// dir and serves it through fleetMux, returning the server, the registry,
-// and a direct reference engine for tenant-00.
-func testFleet(t *testing.T) (*httptest.Server, *reghd.Registry, *reghd.Engine) {
+// testFleet seeds a fleet of toy tenants (airfoil, D=128, k=2, 1 epoch)
+// plus one corrupt checkpoint into a temp dir and serves it through
+// fleetMux from a registry with the given resident budget (0 = unlimited).
+// It returns the server, the registry, and one direct reference engine per
+// tenant, tenant-00 first.
+func testFleet(t *testing.T, tenants, maxResident int) (*httptest.Server, *reghd.Registry, []*reghd.Engine) {
 	t.Helper()
 	dir := t.TempDir()
-	names, err := seedFleet(dir, "airfoil", 2, 128, 2, 1)
+	names, err := seedFleet(dir, "airfoil", tenants, 128, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "corrupt"+reghd.ModelExt), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := reghd.LoadPipelineFile(filepath.Join(dir, names[0]+reghd.ModelExt))
-	if err != nil {
-		t.Fatal(err)
+	direct := make([]*reghd.Engine, len(names))
+	for i, name := range names {
+		pipe, err := reghd.LoadPipelineFile(filepath.Join(dir, name+reghd.ModelExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct[i], err = reghd.NewPipelineEngine(pipe); err != nil {
+			t.Fatal(err)
+		}
 	}
-	direct, err := reghd.NewPipelineEngine(pipe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := reghd.NewRegistry(reghd.RegistryConfig{Dir: dir})
+	reg, err := reghd.NewRegistry(reghd.RegistryConfig{Dir: dir, MaxResident: maxResident})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +55,34 @@ func testFleet(t *testing.T) (*httptest.Server, *reghd.Registry, *reghd.Engine) 
 
 func postPredict(t *testing.T, url, tenant string, x []float64) (*http.Response, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(map[string][]float64{"x": x})
-	resp, err := http.Post(url+"/predict/"+tenant, "application/json", bytes.NewReader(body))
+	body, err := json.Marshal(map[string][]float64{"x": x})
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp, out, err := post(url+"/predict/"+tenant, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// post sends one raw /predict body and returns the response and its body.
+// It reports errors instead of failing the test so that client goroutines
+// can call it.
+func post(url string, body []byte) (*http.Response, []byte, error) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
 	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	return resp, buf.Bytes()
+	out, err := io.ReadAll(resp.Body)
+	return resp, out, err
 }
 
 func TestFleetPredictBitIdentical(t *testing.T) {
-	srv, _, direct := testFleet(t)
+	srv, _, direct := testFleet(t, 2, 0)
 	x := []float64{0.5, -1.0, 0.25, 1.5, -0.75}
-	want, err := direct.Predict(x)
+	want, err := direct[0].Predict(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,29 +102,118 @@ func TestFleetPredictBitIdentical(t *testing.T) {
 }
 
 func TestFleetPredictStatuses(t *testing.T) {
-	srv, _, _ := testFleet(t)
-	x := []float64{1, 2, 3, 4, 5}
+	srv, _, _ := testFleet(t, 2, 0)
+	row := `{"x":[1,2,3,4,5]}`
 	cases := []struct {
-		tenant string
-		x      []float64
-		status int
+		name, tenant, body string
+		status             int
 	}{
-		{"tenant-00", x, http.StatusOK},
-		{"no-such-tenant", x, http.StatusNotFound},
-		{"corrupt", x, http.StatusServiceUnavailable},
-		{"tenant-00", []float64{1}, http.StatusBadRequest},                      // wrong arity
-		{"tenant-00", []float64{1, 2, math.NaN(), 4, 5}, http.StatusBadRequest}, // non-finite
+		{"ok", "tenant-00", row, http.StatusOK},
+		{"unknown tenant", "no-such-tenant", row, http.StatusNotFound},
+		{"corrupt checkpoint", "corrupt", row, http.StatusServiceUnavailable},
+		{"wrong arity", "tenant-00", `{"x":[1]}`, http.StatusBadRequest},
+		// JSON has no NaN or Inf; the nearest non-finite input is a number
+		// out of float64 range.
+		{"out of range", "tenant-00", `{"x":[1,2,1e400,4,5]}`, http.StatusBadRequest},
+		{"empty body", "tenant-00", "", http.StatusBadRequest},
+		{"trailing garbage", "tenant-00", row + " junk", http.StatusBadRequest},
+		{"oversized body", "tenant-00", row + strings.Repeat(" ", httpx.MaxBodyBytes), http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
-		resp, body := postPredict(t, srv.URL, c.tenant, c.x)
+		resp, body, err := post(srv.URL+"/predict/"+c.tenant, []byte(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if resp.StatusCode != c.status {
-			t.Errorf("%s %v: status %d, want %d (%s)", c.tenant, c.x, resp.StatusCode, c.status, body)
+			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.status, body)
 		}
 	}
 }
 
+// TestFleetEvictionsUnderLoad is the fleet's end-to-end serving contract
+// over HTTP: 8 tenants behind a resident budget of 4, driven by concurrent
+// clients with zipfian tenant picks, so LRU evictions and reloads happen
+// while requests are in flight. Every response must be 200 and
+// Float64bits-equal to a direct engine over the same checkpoint, and the
+// registry must report evictions on /models.
+func TestFleetEvictionsUnderLoad(t *testing.T) {
+	const (
+		tenants   = 8
+		resident  = 4
+		clients   = 4
+		perClient = 100
+	)
+	srv, _, direct := testFleet(t, tenants, resident)
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			zipf := rand.NewZipf(rng, 1.2, 1, tenants-1)
+			x := make([]float64, direct[0].Features())
+			for i := 0; i < perClient; i++ {
+				k := int(zipf.Uint64())
+				for j := range x {
+					x[j] = rng.NormFloat64()
+				}
+				want, err := direct[k].Predict(x)
+				if err != nil {
+					errs <- err
+					return
+				}
+				body, err := json.Marshal(map[string][]float64{"x": x})
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, out, err := post(fmt.Sprintf("%s/predict/tenant-%02d", srv.URL, k), body)
+				if err != nil {
+					errs <- err
+					return
+				}
+				var got struct {
+					Y float64 `json:"y"`
+				}
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &got) != nil {
+					errs <- fmt.Errorf("tenant-%02d: status %d: %s", k, resp.StatusCode, out)
+					return
+				}
+				if math.Float64bits(got.Y) != math.Float64bits(want) {
+					errs <- fmt.Errorf("tenant-%02d: served %v, direct %v", k, got.Y, want)
+					return
+				}
+			}
+		}(int64(c + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	resp, err := http.Get(srv.URL + "/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cat struct {
+		Metrics reghd.RegistryMetrics `json:"metrics"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
+		t.Fatal(err)
+	}
+	if cat.Metrics.Evictions == 0 {
+		t.Fatalf("no LRU evictions under a %d-of-%d resident budget: %+v", resident, tenants, cat.Metrics)
+	}
+	if cat.Metrics.Routed != clients*perClient {
+		t.Fatalf("routed %d requests, want %d", cat.Metrics.Routed, clients*perClient)
+	}
+}
+
 func TestFleetModelsCatalog(t *testing.T) {
-	srv, _, _ := testFleet(t)
+	srv, _, _ := testFleet(t, 2, 0)
 	get := func() (infos []struct {
 		Name     string `json:"name"`
 		Resident bool   `json:"resident"`
@@ -144,7 +255,7 @@ func TestFleetModelsCatalog(t *testing.T) {
 }
 
 func TestFleetHealthz(t *testing.T) {
-	srv, reg, _ := testFleet(t)
+	srv, reg, _ := testFleet(t, 2, 0)
 	check := func(path string, status int, want string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + path)
@@ -171,7 +282,7 @@ func TestFleetHealthz(t *testing.T) {
 }
 
 func TestFleetMetricsEndpoint(t *testing.T) {
-	srv, _, _ := testFleet(t)
+	srv, _, _ := testFleet(t, 2, 0)
 	postPredict(t, srv.URL, "tenant-00", []float64{1, 2, 3, 4, 5})
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

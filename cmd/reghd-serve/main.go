@@ -11,7 +11,8 @@
 //	GET  /debug/pprof/  net/http/pprof profiles of the running server
 //	GET  /debug/vars    stdlib expvar endpoint (same JSON as /metrics)
 //	POST /predict       {"x":[...]} -> {"y":...} one prediction
-//	                    400 on invalid input, 429 when shed by the
+//	                    400 on invalid input, 413 on a body over
+//	                    httpx.MaxBodyBytes, 429 when shed by the
 //	                    admission gate, 504 on deadline expiry
 //	GET  /healthz       liveness probe; reports "degraded" (still 200,
 //	                    last known-good snapshot keeps serving) when a
@@ -30,8 +31,11 @@
 // admission gates, /predict/{model} routing, a /models catalog, per-tenant
 // /healthz/{model}, and the reghd.registry.* fleet metrics on /metrics
 // (see fleet.go and docs/SERVING.md). -seed-models N trains N small tenant
-// models into the directory first, which is how `make fleet-smoke` and
-// cmd/reghd-loadgen get a fleet to drive.
+// models into the directory first; `bash benchmark/run.sh` measures a fleet
+// served this way end to end.
+//
+// Both modes read /predict bodies with httpx.DecodeRow and listen through
+// httpx.NewServer (a header-read timeout, no idle timeout).
 package main
 
 import (
@@ -50,6 +54,7 @@ import (
 	"time"
 
 	"reghd"
+	"reghd/internal/httpx"
 	"reghd/internal/obs"
 )
 
@@ -64,10 +69,6 @@ func main() {
 		traffic      = flag.Bool("traffic", true, "generate synthetic reader/writer load")
 		maxInFlight  = flag.Int("max-inflight", 256, "bounded in-flight prediction limit, 0 = unlimited")
 		reqTimeout   = flag.Duration("request-timeout", 2*time.Second, "per-request prediction deadline, 0 = none")
-
-		coalesce      = flag.Bool("coalesce", false, "micro-batch concurrent single-row predictions (request coalescing)")
-		coalesceBatch = flag.Int("coalesce-batch", reghd.DefaultCoalesceMaxBatch, "max rows per coalesced batch")
-		coalesceWait  = flag.Duration("coalesce-wait", reghd.DefaultCoalesceMaxWait, "max window hold time; negative batches only what is already queued")
 
 		modelsDir        = flag.String("models-dir", "", "multi-model mode: serve every *.gob tenant checkpoint in this directory via /predict/{model}")
 		maxResident      = flag.Int("max-resident", 0, "multi-model: LRU budget on resident tenant engines, 0 = unlimited")
@@ -92,9 +93,6 @@ func main() {
 			seedDim:          *dim,
 			seedK:            *models,
 			seedEpochs:       *epochs,
-			coalesce:         *coalesce,
-			coalesceBatch:    *coalesceBatch,
-			coalesceWait:     *coalesceWait,
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -142,14 +140,6 @@ func main() {
 	engine.SetPublishEvery(*publishEvery)
 	engine.SetMaxInFlight(*maxInFlight)
 	engine.EnableMetrics()
-	if *coalesce {
-		engine.EnableCoalescing(reghd.CoalesceConfig{
-			MaxBatch: *coalesceBatch,
-			MaxWait:  *coalesceWait,
-		})
-		log.Printf("request coalescing on (batch<=%d, wait<=%v); watch reghd.engine.coalesce in /metrics",
-			*coalesceBatch, *coalesceWait)
-	}
 	ops := engine.EnableOpCounting()
 
 	// Live hardware view: the op counts of the actually-served traffic,
@@ -190,11 +180,8 @@ func main() {
 	})
 	http.Handle("/metrics", obs.Handler())
 	http.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			X []float64 `json:"x"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		x, err := httpx.DecodeRow(w, r)
+		if err != nil {
 			return
 		}
 		ctx := r.Context()
@@ -203,7 +190,7 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *reqTimeout)
 			defer cancel()
 		}
-		y, err := engine.PredictCtx(ctx, req.X)
+		y, err := engine.PredictCtx(ctx, x)
 		if err != nil {
 			http.Error(w, err.Error(), predictStatus(err))
 			return
@@ -225,7 +212,7 @@ func main() {
 	// Serve until SIGINT/SIGTERM, then stop the traffic goroutines and
 	// drain in-flight requests — the demo load shares the server's
 	// lifetime instead of leaking past it.
-	srv := &http.Server{Handler: http.DefaultServeMux}
+	srv := httpx.NewServer(http.DefaultServeMux)
 	sigCtx, stopSig := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSig()
 	shutdownDone := make(chan struct{})
@@ -261,9 +248,6 @@ type fleetOptions struct {
 	seedDim          int
 	seedK            int
 	seedEpochs       int
-	coalesce         bool
-	coalesceBatch    int
-	coalesceWait     time.Duration
 }
 
 // runFleet is the multi-model serving path: optional fleet seeding, then a
@@ -274,17 +258,13 @@ func runFleet(opt fleetOptions) error {
 			return err
 		}
 	}
-	cfg := reghd.RegistryConfig{
+	reg, err := reghd.NewRegistry(reghd.RegistryConfig{
 		Dir:              opt.dir,
 		MaxResident:      opt.maxResident,
 		MaxResidentBytes: opt.maxResidentBytes,
 		MaxInFlight:      opt.maxInFlight,
 		PublishEvery:     opt.publishEvery,
-	}
-	if opt.coalesce {
-		cfg.Coalesce = &reghd.CoalesceConfig{MaxBatch: opt.coalesceBatch, MaxWait: opt.coalesceWait}
-	}
-	reg, err := reghd.NewRegistry(cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -304,8 +284,8 @@ func runFleet(opt fleetOptions) error {
 	if len(tenants) > 0 {
 		log.Printf(`  curl -s -d '{"x":[...]}' http://%s/predict/%s`, served, tenants[0])
 	}
-	log.Printf("  go run ./cmd/reghd-loadgen -addr http://%s -duration 5s", served)
-	return http.Serve(ln, fleetMux(reg, opt.reqTimeout))
+	log.Printf("  bash benchmark/run.sh --workload serve-hot   (measures a served fleet end to end)")
+	return httpx.NewServer(fleetMux(reg, opt.reqTimeout)).Serve(ln)
 }
 
 // predictStatus maps the serving stack's typed errors onto HTTP status

@@ -17,10 +17,11 @@ import (
 //
 //   - background-in-ctx-path: a function that takes a context.Context must
 //     not call context.Background or context.TODO anywhere in its body — the
-//     request already carries a context. Batch boundaries that deliberately
-//     detach (the coalescer's dispatch fan-out, the ctx-less convenience
-//     wrappers like Engine.Predict) take no context parameter, which is
-//     exactly what exempts them.
+//     request already carries a context. Boundaries that deliberately
+//     detach (reghd-replica's gracefulShutdown, which drains the server
+//     after the caller's context is already cancelled, and the ctx-less
+//     convenience wrappers like Engine.Predict) take no context parameter,
+//     which is exactly what exempts them.
 //   - dropped-context: inside a function that takes a context, calling a
 //     callee that has a context-accepting sibling (same name + "Ctx" suffix,
 //     on the same receiver type for methods) without using that sibling

@@ -7,14 +7,14 @@ import (
 )
 
 // GoroLeak requires every goroutine in non-test code to be tied to a
-// shutdown mechanism. The serving stack is built to be embedded — engines
-// are Closed, coalescers Disabled, registries Evicted — and an untied
-// goroutine (a ticker loop, a forgotten worker) outlives the component that
-// spawned it, holds its memory reachable, and keeps doing work against a
-// torn-down engine. Every long-lived goroutine in the repo follows one of a
-// small set of shapes (coalescer flush loop selecting on its stopped
-// channel, FitParallel workers signalling a WaitGroup), and this analyzer
-// pins that discipline.
+// shutdown mechanism. The serving stack is built to be embedded — replicas
+// Stopped, servers Shut down, registries Evicted — and an untied goroutine
+// (a ticker loop, a forgotten worker) outlives the component that spawned
+// it, holds its memory reachable, and keeps doing work against a torn-down
+// engine. Every long-lived goroutine in the repo follows one of a small set
+// of shapes (the replica's anti-entropy loop selecting on its stop channel
+// and ctx.Done, FitParallel workers signalling a WaitGroup), and this
+// analyzer pins that discipline.
 //
 // Mechanically, for each `go` statement the analyzer searches the spawned
 // body — a function literal's body, or the declaration of a package-local

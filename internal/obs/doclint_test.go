@@ -3,8 +3,7 @@ package obs_test
 // Doc lint: docs/OBSERVABILITY.md and the exported metric structs must
 // agree. The metric namespace is derived by reflection over the json tags
 // of reghd.EngineMetrics, obs.HWReport, reghd.RegistryMetrics,
-// obs.LoadgenReport, obs.TrainMetrics, and obs.ReplMetrics (exactly what
-// /metrics and reghd-loadgen serve), so
+// obs.TrainMetrics, and obs.ReplMetrics (exactly what /metrics serves), so
 // adding a field without documenting it — or documenting a metric that no
 // longer exists — fails `make metrics-lint` and the ordinary test run.
 
@@ -45,13 +44,12 @@ func codeMetrics() map[string]bool {
 	metricPaths(reflect.TypeOf(reghd.EngineMetrics{}), obs.EngineVar, m)
 	metricPaths(reflect.TypeOf(obs.HWReport{}), obs.HWVar, m)
 	metricPaths(reflect.TypeOf(reghd.RegistryMetrics{}), obs.RegistryVar, m)
-	metricPaths(reflect.TypeOf(obs.LoadgenReport{}), obs.LoadgenVar, m)
 	metricPaths(reflect.TypeOf(obs.TrainMetrics{}), obs.TrainVar, m)
 	metricPaths(reflect.TypeOf(obs.ReplMetrics{}), obs.ReplVar, m)
 	return m
 }
 
-var metricNameRE = regexp.MustCompile("`(reghd\\.(?:engine|hw|registry|loadgen|train|repl)(?:\\.[a-z0-9_*]+)+)`")
+var metricNameRE = regexp.MustCompile("`(reghd\\.(?:engine|hw|registry|train|repl)(?:\\.[a-z0-9_*]+)+)`")
 
 func TestMetricsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
@@ -108,9 +106,6 @@ func TestMetricNamespaceShape(t *testing.T) {
 		"reghd.registry.evictions",
 		"reghd.registry.load_errors",
 		"reghd.registry.unknown_tenant",
-		"reghd.loadgen.p99_ns",
-		"reghd.loadgen.slo_violated",
-		"reghd.loadgen.tenants.*",
 		"reghd.train.runs",
 		"reghd.train.shards",
 		"reghd.train.merge_ns_total",

@@ -17,9 +17,6 @@ const (
 	// RegistryVar is the expvar name carrying reghd.RegistryMetrics — the
 	// multi-tenant fleet counters (reghd.NewRegistry publishes it).
 	RegistryVar = "reghd.registry"
-	// LoadgenVar is the metric namespace of the LoadgenReport emitted by
-	// cmd/reghd-loadgen.
-	LoadgenVar = "reghd.loadgen"
 	// TrainVar is the expvar name carrying obs.TrainMetrics — the always-on
 	// sharded-training aggregate (obs publishes it at init).
 	TrainVar = "reghd.train"

@@ -94,64 +94,6 @@ type EngineMetrics struct {
 	// latency metrics these are recorded always, not only after
 	// EnableMetrics.
 	Robustness RobustnessMetrics `json:"robustness"`
-	// Coalesce carries the request-coalescing counters (batch sizes, window
-	// waits, fallbacks). Like Robustness these are recorded always, not only
-	// after EnableMetrics.
-	Coalesce CoalesceMetrics `json:"coalesce"`
-}
-
-// CoalesceMetrics is the request coalescer's counter block, reported under
-// EngineMetrics.Coalesce (metric namespace reghd.engine.coalesce, see
-// docs/OBSERVABILITY.md). Counters accumulate across EnableCoalescing /
-// DisableCoalescing cycles and are recorded regardless of EnableMetrics.
-type CoalesceMetrics struct {
-	// Enabled reports whether request coalescing is currently on.
-	Enabled bool `json:"enabled"`
-	// Batches is the number of coalesced batches dispatched.
-	Batches uint64 `json:"batches"`
-	// Rows is the total number of single-row predictions served through
-	// coalesced batches; Rows/Batches is the exact mean batch size.
-	Rows uint64 `json:"rows"`
-	// Fallbacks counts requests served through the direct path while
-	// coalescing was on (window queue full, or a request caught in a
-	// DisableCoalescing shutdown race).
-	Fallbacks uint64 `json:"fallbacks"`
-	// BatchSizeMean is the exact mean rows per dispatched batch; the
-	// quantiles and max digest the batch-size distribution with the
-	// histogram's ±6.25% bucket error (max is exact).
-	BatchSizeMean float64 `json:"batch_size_mean"`
-	BatchSizeP50  int64   `json:"batch_size_p50"`
-	BatchSizeP99  int64   `json:"batch_size_p99"`
-	BatchSizeMax  int64   `json:"batch_size_max"`
-	// WindowWaitMeanNS, WindowWaitP99NS, and WindowWaitMaxNS digest how long
-	// dispatched windows stayed open collecting requests, in nanoseconds
-	// (mean and max exact, P99 within bucket error).
-	WindowWaitMeanNS int64 `json:"window_wait_mean_ns"`
-	WindowWaitP99NS  int64 `json:"window_wait_p99_ns"`
-	WindowWaitMaxNS  int64 `json:"window_wait_max_ns"`
-}
-
-// coalesceMetrics snapshots the always-on coalescing counters.
-func (e *Engine) coalesceMetrics() CoalesceMetrics {
-	cs := &e.coalStats
-	m := CoalesceMetrics{
-		Enabled:   e.coal.Load() != nil,
-		Batches:   cs.batches.Load(),
-		Rows:      cs.rows.Load(),
-		Fallbacks: cs.fallbacks.Load(),
-	}
-	if m.Batches > 0 {
-		m.BatchSizeMean = float64(m.Rows) / float64(m.Batches)
-	}
-	sizes := cs.sizes.Snapshot()
-	m.BatchSizeP50 = int64(sizes.Quantile(0.50))
-	m.BatchSizeP99 = int64(sizes.Quantile(0.99))
-	m.BatchSizeMax = sizes.MaxNS
-	waits := cs.waits.Snapshot()
-	m.WindowWaitMeanNS = int64(waits.Mean())
-	m.WindowWaitP99NS = int64(waits.Quantile(0.99))
-	m.WindowWaitMaxNS = waits.MaxNS
-	return m
 }
 
 // serveStats is the engine's live instrumentation, reached through an
@@ -210,7 +152,7 @@ func (e *Engine) MetricsEnabled() bool { return e.stats.Load() != nil }
 func (e *Engine) Metrics() EngineMetrics {
 	st := e.stats.Load()
 	if st == nil {
-		return EngineMetrics{Robustness: e.robustness(), Coalesce: e.coalesceMetrics()}
+		return EngineMetrics{Robustness: e.robustness()}
 	}
 	elapsed := time.Since(st.start)
 	encode := st.stages.Stat(core.StageEncode)
@@ -233,6 +175,5 @@ func (e *Engine) Metrics() EngineMetrics {
 			Publishes:           st.publishes.Load(),
 		},
 		Robustness: e.robustness(),
-		Coalesce:   e.coalesceMetrics(),
 	}
 }

@@ -87,10 +87,6 @@ type RegistryConfig struct {
 	// (Engine.EnableMetrics) on every loaded engine. The registry's own
 	// fleet counters (reghd.registry.*) are always on regardless.
 	EngineMetrics bool
-	// Coalesce, when non-nil, enables request coalescing
-	// (Engine.EnableCoalescing) with this configuration on every loaded
-	// engine.
-	Coalesce *CoalesceConfig
 }
 
 // registryStats are the always-on fleet counters (metric namespace
@@ -269,20 +265,14 @@ func (r *Registry) load(tenant string) (*Engine, error) {
 	if r.cfg.EngineMetrics {
 		eng.EnableMetrics()
 	}
-	if r.cfg.Coalesce != nil {
-		eng.EnableCoalescing(*r.cfg.Coalesce)
-	}
 	e := &tenantEntry{name: tenant, eng: eng, bytes: bytes, features: eng.Features()}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if prev, ok := r.resident[tenant]; ok {
 		// A racing install beat us: keep the installed engine and drop ours
-		// so all routed callers converge on one. The dropped engine's
-		// coalescer (if any) must be stopped or its dispatcher goroutine
-		// would outlive it.
+		// so all routed callers converge on one.
 		r.lru.MoveToFront(prev.elem)
-		go eng.DisableCoalescing()
 		return prev.eng, nil
 	}
 	r.stats.loads.Add(1)
@@ -327,18 +317,13 @@ func (r *Registry) evictLocked() {
 
 // removeLocked drops one resident entry and counts the eviction. Callers
 // must hold r.mu. The evicted engine keeps serving for in-flight holders —
-// its snapshot, scratch pools, and gates are self-contained — but its
-// coalescer (if any) is stopped asynchronously so the dispatcher goroutine
-// does not outlive the eviction (parked requests drain through the final
-// batch or the direct path; none are lost).
+// its snapshot, scratch pools, and gates are self-contained and it owns no
+// goroutine — so dropping the reference is the whole eviction.
 func (r *Registry) removeLocked(e *tenantEntry) {
 	r.lru.Remove(e.elem)
 	delete(r.resident, e.name)
 	r.bytes -= e.bytes
 	r.stats.evictions.Add(1)
-	if e.eng.CoalescingEnabled() {
-		go e.eng.DisableCoalescing()
-	}
 }
 
 // Evict removes one tenant's resident engine, reporting whether it was

@@ -68,14 +68,6 @@ type Engine struct {
 	// robust carries the always-on hardening counters and the admission
 	// gate (see harden.go).
 	robust robustStats
-	// coal, when non-nil, is the active request coalescer: Predict calls
-	// micro-batch through its window instead of serving directly (see
-	// coalesce.go). Readers reach it with one atomic load, so
-	// coalescing-off serving pays a single pointer check.
-	coal atomic.Pointer[coalescer]
-	// coalStats are the always-on coalescing counters; they survive
-	// coalescer enable/disable cycles.
-	coalStats coalesceStats
 	// publishFail, when non-nil, is the test-only failpoint forcing
 	// republications to fail (setPublishFailpoint); guarded by mu.
 	publishFail func() error
@@ -387,18 +379,6 @@ func (e *Engine) PredictCtx(ctx context.Context, x []float64) (float64, error) {
 	}
 	defer e.release()
 	st := e.stats.Load()
-	if c := e.coal.Load(); c != nil {
-		// Coalescing path: park in the micro-batch window (see coalesce.go).
-		// The caller keeps its gate slot while parked, and the latency digest
-		// includes the window wait — it is real serving time.
-		if st == nil {
-			return c.do(ctx, x)
-		}
-		t0 := time.Now()
-		y, err := c.do(ctx, x)
-		st.predict.Observe(time.Since(t0), err)
-		return y, err
-	}
 	if st == nil {
 		return e.predictSafe(nil, x)
 	}
