@@ -14,9 +14,11 @@ import (
 // (n=32 features, D=4096). Each pair runs the pre-PR dense/per-cluster/
 // serial path against the bit-packed/fused/parallel kernel that replaced
 // it on the hot path; `make bench-json` records the pairs and their
-// speedups in BENCH_kernels.json (see docs/PERFORMANCE.md). The naming
-// convention is load-bearing: reghd-benchjson pairs sub-benchmarks by
-// swapping dense→packed, naive→packed, naive→fused, serial→parallel.
+// speedups in BENCH_kernels.json (see docs/PERFORMANCE.md). The batch
+// encode pair, BenchmarkEncodeBatch, lives in internal/core beside the
+// training encode it measures. The naming convention is load-bearing:
+// reghd-benchjson pairs sub-benchmarks by swapping dense→packed,
+// naive→packed, naive→fused, serial→parallel.
 
 const (
 	benchFeats = 32
@@ -133,7 +135,7 @@ func BenchmarkEncode(b *testing.B) {
 		dst := hdc.NewVector(benchDim)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := enc.EncodeBipolarInto(nil, x, dst); err != nil {
+			if err := enc.EncodeInto(nil, x, nil, dst, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -143,73 +145,7 @@ func BenchmarkEncode(b *testing.B) {
 		dst := hdc.NewBinary(benchDim)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := enc.EncodeBinaryInto(nil, x, dst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEncodeBatch measures the 256-row batch encode path.
-//
-// The "serial" lane replicates the pre-fix batch loop inline (the
-// BenchmarkEncode "naive" precedent): a fresh D-length allocation per row
-// and separate nonlinearize and quantize passes, one row at a time. The
-// "parallel" lane runs the fixed EncodeBatchParallel — one contiguous
-// output slab, fused nonlinearize+quantize, rows fanned over GOMAXPROCS
-// workers — so the recorded speedup spans the whole fix. On a single core
-// the fusion alone wins ~1.2×; the worker fan-out adds its multiple only
-// with ≥2 cores (see docs/PERFORMANCE.md "Flat spots").
-func BenchmarkEncodeBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(24))
-	xs := make([][]float64, 256)
-	for i := range xs {
-		row := make([]float64, benchFeats)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		xs[i] = row
-	}
-	b.Run("serial-256rows-n32-D4096", func(b *testing.B) {
-		m, _ := benchSigns()
-		sm, ok := hdc.PackSignsFlat(m, benchFeats, benchDim)
-		if !ok {
-			b.Fatal("pack failed")
-		}
-		prng := rand.New(rand.NewSource(22))
-		bias := make([]float64, benchDim)
-		center := make([]float64, benchDim)
-		for j := range bias {
-			bias[j] = prng.Float64() * 2 * math.Pi
-			center[j] = -math.Sin(bias[j]) / 2
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out := make([]hdc.Vector, len(xs))
-			for r, x := range xs {
-				h := make(hdc.Vector, benchDim)
-				sm.ProjectAccum(nil, h, x)
-				for j, p := range h {
-					h[j] = 0.5*math.Sin(2*p+bias[j]) + center[j]
-				}
-				for j, v := range h {
-					if v >= center[j] {
-						h[j] = 1
-					} else {
-						h[j] = -1
-					}
-				}
-				out[r] = h
-			}
-		}
-	})
-	b.Run("parallel-256rows-n32-D4096", func(b *testing.B) {
-		enc := benchEncoder(b, encoding.ProjBipolar)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := enc.EncodeBatchParallel(nil, xs, 0); err != nil {
+			if err := enc.EncodeInto(nil, x, nil, nil, dst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -64,7 +64,7 @@ func BenchmarkEncodeNonlinear(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.EncodeBipolar(nil, x); err != nil {
+		if _, err := encoding.Bipolar(enc, nil, x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,7 +138,7 @@ func (m *Model) Fit(train *dataset.Dataset) error {
 	}
 	encoded := make([]hdc.Vector, train.Len())
 	for i, x := range train.X {
-		s, err := m.enc.EncodeBipolar(m.TrainCounter, x)
+		s, err := encoding.Bipolar(m.enc, m.TrainCounter, x)
 		if err != nil {
 			return fmt.Errorf("baselinehd: encoding row %d: %w", i, err)
 		}
@@ -178,7 +178,7 @@ func (m *Model) Predict(x []float64) (float64, error) {
 	if !m.trained {
 		return 0, ErrNotTrained
 	}
-	s, err := m.enc.EncodeBipolar(m.InferCounter, x)
+	s, err := encoding.Bipolar(m.enc, m.InferCounter, x)
 	if err != nil {
 		return 0, err
 	}

@@ -16,7 +16,9 @@ func (m *Model) AssignCluster(x []float64) (cluster int, similarities []float64,
 	if m.cfg.Models == 1 {
 		return 0, []float64{1}, nil
 	}
-	e, err := m.encode(nil, x)
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	e, err := m.encode(nil, x, sc)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -71,11 +73,13 @@ func (m *Model) BinaryModelSnapshot(i int) (*hdc.Binary, error) {
 // EncodeBinary returns the bit-packed bipolar encoding of x — the query
 // representation a binary hardware deployment consumes.
 func (m *Model) EncodeBinary(x []float64) (*hdc.Binary, error) {
-	e, err := m.encode(nil, x)
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	e, err := m.encode(nil, x, sc)
 	if err != nil {
 		return nil, err
 	}
-	return e.packed, nil
+	return e.packed.Clone(), nil
 }
 
 // DeploymentBytes reports the storage the deployed predictor needs for its

@@ -20,12 +20,6 @@ type params struct {
 	enc encoding.Encoder
 	dim int
 
-	// bufEnc is enc's zero-allocation view when the encoder provides one
-	// (non-nil exactly when enc implements encoding.BufferedEncoder).
-	// Prediction paths use it to encode into pooled scratch buffers; when
-	// nil they fall back to the allocating Encoder methods.
-	bufEnc encoding.BufferedEncoder
-
 	clusters   []hdc.Vector  // integer cluster hypervectors C_i
 	models     []hdc.Vector  // integer regression hypervectors M_i
 	modelsBin  []*hdc.Binary // binary shadows M_i^b (binary model modes)
@@ -86,8 +80,8 @@ type Model struct {
 	// contract — keeps shared buffers while Predict* uses pooled scratch.
 	sims, conf []float64
 
-	// scratch pools per-call prediction workspaces so concurrent Predict*
-	// calls never share similarity/confidence buffers.
+	// scratch pools per-call encode workspaces so concurrent Predict*
+	// calls never share encode or similarity/confidence buffers.
 	scratch *scratchPool
 
 	// TrainCounter, when non-nil, accumulates the primitive operations of
@@ -107,15 +101,15 @@ type Model struct {
 	Stages *StageTimes
 }
 
-// scratch is one prediction call's private workspace: cluster similarities,
-// softmax confidences, the D-length encode buffers (raw/bipolar/bit-packed
-// query representations, reused across calls via BufferedEncoder's Into
-// methods), and a local op counter that concurrent paths merge into an
-// AtomicCounter after the call.
+// scratch is one encode's private workspace: cluster similarities, softmax
+// confidences, the D-length encode buffers (raw/bipolar/bit-packed
+// representations that encode writes and every reader aliases), and a local
+// op counter that concurrent paths merge into an AtomicCounter after the
+// call.
 type scratch struct {
 	sims, conf []float64
-	raw, s     hdc.Vector  // raw is nil unless the mode reads the raw query
-	packed     *hdc.Binary // nil when the encoder is not buffered
+	raw, s     hdc.Vector // raw is nil unless the mode reads the raw query
+	packed     *hdc.Binary
 	ctr        hdc.Counter
 }
 
@@ -124,26 +118,25 @@ type scratchPool struct {
 	pool sync.Pool
 }
 
-// newScratchPool sizes the per-call workspaces: models similarity slots,
-// dim-length encode buffers (the raw buffer only for modes that read the
-// raw query), and a bit-packed query. buffered selects whether encode
-// buffers are allocated at all — without a BufferedEncoder they would sit
-// unused.
-func newScratchPool(models, dim int, needRaw, buffered bool) *scratchPool {
-	return &scratchPool{pool: sync.Pool{New: func() any {
-		s := &scratch{
-			sims: make([]float64, models),
-			conf: make([]float64, models),
-		}
-		if buffered {
-			s.s = hdc.NewVector(dim)
-			s.packed = hdc.NewBinary(dim)
-			if needRaw {
-				s.raw = hdc.NewVector(dim)
-			}
-		}
-		return s
-	}}}
+// newScratch sizes one workspace: models similarity slots, dim-length
+// encode buffers (the raw buffer only for modes that read the raw query),
+// and a bit-packed query.
+func newScratch(models, dim int, needRaw bool) *scratch {
+	s := &scratch{
+		sims:   make([]float64, models),
+		conf:   make([]float64, models),
+		s:      hdc.NewVector(dim),
+		packed: hdc.NewBinary(dim),
+	}
+	if needRaw {
+		s.raw = hdc.NewVector(dim)
+	}
+	return s
+}
+
+// newScratchPool recycles newScratch workspaces of one shape.
+func newScratchPool(models, dim int, needRaw bool) *scratchPool {
+	return &scratchPool{pool: sync.Pool{New: func() any { return newScratch(models, dim, needRaw) }}}
 }
 
 func (p *scratchPool) get() *scratch  { return p.pool.Get().(*scratch) }
@@ -193,9 +186,9 @@ func New(enc encoding.Encoder, cfg Config) (*Model, error) {
 }
 
 // withState returns a Model over p, whose learned state is already in
-// place, adding what every constructor adds: the encoder's buffered view,
-// the seeded shuffling stream, the prediction scratch pool, the binary
-// cluster slab (a fresh copy of p.clustersBin) and the training scratch.
+// place, adding what every constructor adds: the seeded shuffling stream,
+// the encode scratch pool, the binary cluster slab (a fresh copy of
+// p.clustersBin) and the training scratch.
 func withState(p params, trained bool, samples uint64, assignN []uint64) *Model {
 	m := &Model{
 		params:  p,
@@ -204,8 +197,7 @@ func withState(p params, trained bool, samples uint64, assignN []uint64) *Model 
 		assignN: assignN,
 		rng:     rand.New(rand.NewSource(p.cfg.Seed)),
 	}
-	m.bufEnc, _ = p.enc.(encoding.BufferedEncoder)
-	m.scratch = newScratchPool(p.cfg.Models, p.dim, p.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil)
+	m.scratch = newScratchPool(p.cfg.Models, p.dim, p.cfg.PredictMode.UsesRawQuery())
 	m.clustersSet, m.clustersBin = clusterSlab(p.clustersBin)
 	if p.cfg.Models > 1 {
 		m.sims = make([]float64, p.cfg.Models)
@@ -270,52 +262,17 @@ type encoded struct {
 	packed *hdc.Binary // S bit-packed
 }
 
-// encode produces the representations of x required by the configuration.
-func (p *params) encode(ctr *hdc.Counter, x []float64) (encoded, error) {
-	var e encoded
-	if p.cfg.PredictMode.UsesRawQuery() {
-		raw, s, err := p.enc.EncodeBoth(ctr, x)
-		if err != nil {
-			return encoded{}, err
-		}
-		e.raw = raw
-		e.s = s
-	} else {
-		s, err := p.enc.EncodeBipolar(ctr, x)
-		if err != nil {
-			return encoded{}, err
-		}
-		e.s = s
+// encode writes the representations of x the configuration needs into
+// sc's buffers — the scratch layout is the selection: raw only for modes
+// that read the raw query, S and S^b always — and returns them as an
+// encoded view aliasing sc, valid until sc is reused or returned to its
+// pool. It is the one encode path in core: every prediction, training,
+// online-update and introspection entry point runs it.
+func (p *params) encode(ctr *hdc.Counter, x []float64, sc *scratch) (encoded, error) {
+	if err := p.enc.EncodeInto(ctr, x, sc.raw, sc.s, sc.packed); err != nil {
+		return encoded{}, err
 	}
-	e.packed = hdc.Pack(ctr, e.s)
-	return e, nil
-}
-
-// encodeScratch is encode writing into the pooled per-call buffers of sc
-// instead of allocating: the returned encoded aliases sc, so it is only
-// valid until sc is returned to the pool. Results and op charges are
-// identical to encode (the BufferedEncoder contract); without a buffered
-// encoder it falls back to the allocating path.
-func (p *params) encodeScratch(ctr *hdc.Counter, x []float64, sc *scratch) (encoded, error) {
-	if p.bufEnc == nil || sc.packed == nil {
-		return p.encode(ctr, x)
-	}
-	var e encoded
-	if p.cfg.PredictMode.UsesRawQuery() {
-		if err := p.bufEnc.EncodeBothInto(ctr, x, sc.raw, sc.s); err != nil {
-			return encoded{}, err
-		}
-		e.raw = sc.raw
-		e.s = sc.s
-	} else {
-		if err := p.bufEnc.EncodeBipolarInto(ctr, x, sc.s); err != nil {
-			return encoded{}, err
-		}
-		e.s = sc.s
-	}
-	hdc.PackInto(ctr, sc.packed, e.s)
-	e.packed = sc.packed
-	return e, nil
+	return encoded{raw: sc.raw, s: sc.s, packed: sc.packed}, nil
 }
 
 // clusterSimilaritiesInto fills sims with the similarity of the encoded
@@ -392,7 +349,7 @@ func (p *params) mix(ctr *hdc.Counter, tm *stageTimer, e encoded, dot func(*hdc.
 // never read.
 func (p *params) predict(ctr *hdc.Counter, st *StageTimes, x []float64, sc *scratch) (float64, error) {
 	tm := startStages(st)
-	e, err := p.encodeScratch(ctr, x, sc)
+	e, err := p.encode(ctr, x, sc)
 	if err != nil {
 		return 0, err
 	}

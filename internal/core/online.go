@@ -29,7 +29,9 @@ func (m *Model) PartialFit(x []float64, y float64) error {
 	if err := ValidateTarget(y); err != nil {
 		return err
 	}
-	e, err := m.encode(m.TrainCounter, x)
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	e, err := m.encode(m.TrainCounter, x, sc)
 	if err != nil {
 		return err
 	}
@@ -51,25 +53,16 @@ func (m *Model) RefreshShadows(xs [][]float64, ys []float64) error {
 	if len(xs) != len(ys) {
 		return hdc.ErrDimensionMismatch
 	}
-	var sp, sy, spp, spy, cnt float64
+	sc := m.scratch.get()
+	defer m.scratch.put(sc)
+	var fit calibFit
 	for i, x := range xs {
-		e, err := m.encode(m.TrainCounter, x)
+		e, err := m.encode(m.TrainCounter, x, sc)
 		if err != nil {
 			return err
 		}
-		p := m.predictWith(m.TrainCounter, e, m.modelDot)
-		sp += p
-		sy += ys[i]
-		spp += p * p
-		spy += p * ys[i]
-		cnt++
+		fit.add(m.predictWith(m.TrainCounter, e, m.modelDot), ys[i])
 	}
-	varP := spp/cnt - (sp/cnt)*(sp/cnt)
-	if varP < 1e-12 {
-		m.calibA, m.calibB = 1, sy/cnt
-		return nil
-	}
-	m.calibA = (spy/cnt - sp/cnt*sy/cnt) / varP
-	m.calibB = sy/cnt - m.calibA*sp/cnt
+	m.calibA, m.calibB = fit.solve()
 	return nil
 }

@@ -43,7 +43,7 @@ func (m *Model) Snapshot() *Snapshot {
 	s := &Snapshot{
 		params:  m.params,
 		trained: m.trained,
-		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery(), m.bufEnc != nil),
+		scratch: newScratchPool(m.cfg.Models, m.dim, m.cfg.PredictMode.UsesRawQuery()),
 	}
 	s.clusters = cloneVectors(m.clusters)
 	s.models = cloneVectors(m.models)

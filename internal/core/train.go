@@ -27,11 +27,26 @@ type TrainResult struct {
 // trainCache holds the per-sample encodings computed once before the
 // iterative passes: the bit-packed bipolar encodings always, and the raw
 // encodings (as float32 to halve memory) when the prediction mode reads the
-// raw query.
+// raw query. packed[i] and raw[i] are row i's views into blocks that each
+// hold many rows (see prepare).
 type trainCache struct {
-	packed []*hdc.Binary
+	packed []hdc.Binary
 	raw    [][]float32
 	y      []float64
+}
+
+// row unpacks cached sample idx into the scratch vectors and returns it as
+// the encoded view the training kernels read.
+func (c *trainCache) row(idx int, scratchS, scratchRaw hdc.Vector) encoded {
+	e := encoded{packed: &c.packed[idx], s: scratchS}
+	hdc.UnpackInto(scratchS, e.packed)
+	if c.raw != nil {
+		for j, v := range c.raw[idx] {
+			scratchRaw[j] = float64(v)
+		}
+		e.raw = scratchRaw
+	}
+	return e
 }
 
 // prepare encodes the whole training set. Encoding cost is charged to the
@@ -44,30 +59,52 @@ func (m *Model) prepare(train *dataset.Dataset) (*trainCache, error) {
 	if train.Features() != m.enc.Features() {
 		return nil, fmt.Errorf("core: dataset has %d features, encoder expects %d", train.Features(), m.enc.Features())
 	}
-	c := &trainCache{
-		packed: make([]*hdc.Binary, train.Len()),
-		y:      train.Y,
-	}
+	n, nw := train.Len(), (m.dim+63)/64
 	needRaw := m.cfg.PredictMode.UsesRawQuery()
+	c := &trainCache{packed: make([]hdc.Binary, n), y: train.Y}
 	if needRaw {
-		c.raw = make([][]float32, train.Len())
+		c.raw = make([][]float32, n)
+	}
+	// The rows are allocated in blocks of about 1 MiB of raw values, not as
+	// one training-set-sized slab: a new cache then fits into the free spans
+	// an earlier one left behind, where one slab needs a fresh contiguous
+	// region each time. On the train workload (ccpp, D=4096, repeated fits)
+	// one slab per fit raised peak RSS from 250 to 358 MB.
+	block := max(1, (1<<20)/(4*m.dim))
+	for lo := 0; lo < n; lo += block {
+		rows := min(block, n-lo)
+		words := make([]uint64, rows*nw)
+		var raw []float32
+		if needRaw {
+			raw = make([]float32, rows*m.dim)
+		}
+		for r := 0; r < rows; r++ {
+			c.packed[lo+r] = hdc.Binary{Words: words[r*nw : (r+1)*nw : (r+1)*nw], Dim: m.dim}
+			if needRaw {
+				c.raw[lo+r] = raw[r*m.dim : (r+1)*m.dim : (r+1)*m.dim]
+			}
+		}
 	}
 	// Encoding is embarrassingly parallel (the encoder is read-only);
-	// it dominates Fit's cost, so spread it over the available cores with
-	// per-worker operation counters merged afterwards.
-	counters := make([]hdc.Counter, clampWorkers(0, train.Len()))
-	err := forEachRowParallelCtx(context.Background(), train.Len(), len(counters), func(w, i int) error {
-		e, err := m.encode(&counters[w], train.X[i])
+	// it dominates Fit's cost, so spread it over the available cores. Each
+	// worker encodes into a private scratch and copies the row out into the
+	// cache, with a private operation counter merged afterwards.
+	counters := make([]hdc.Counter, clampWorkers(0, n))
+	scs := make([]*scratch, len(counters))
+	for w := range scs {
+		scs[w] = newScratch(m.cfg.Models, m.dim, needRaw)
+	}
+	err := forEachRowParallelCtx(context.Background(), n, len(counters), func(w, i int) error {
+		e, err := m.encode(&counters[w], train.X[i], scs[w])
 		if err != nil {
 			return fmt.Errorf("core: encoding row %d: %w", i, err)
 		}
-		c.packed[i] = e.packed
+		copy(c.packed[i].Words, e.packed.Words)
 		if needRaw {
-			r := make([]float32, m.dim)
+			r := c.raw[i]
 			for j, v := range e.raw {
 				r[j] = float32(v)
 			}
-			c.raw[i] = r
 		}
 		return nil
 	})
@@ -133,14 +170,7 @@ func (m *Model) update(ctr *hdc.Counter, e encoded, y, yhat float64) {
 // prequential error. It is the shared inner step of the sequential epoch
 // and the per-shard worker passes of FitParallel.
 func (m *Model) trainOne(cache *trainCache, idx int, scratchS, scratchRaw hdc.Vector) float64 {
-	e := encoded{packed: cache.packed[idx], s: scratchS}
-	hdc.UnpackInto(scratchS, cache.packed[idx])
-	if cache.raw != nil {
-		for j, v := range cache.raw[idx] {
-			scratchRaw[j] = float64(v)
-		}
-		e.raw = scratchRaw
-	}
+	e := cache.row(idx, scratchS, scratchRaw)
 	yhat := m.predictWith(m.TrainCounter, e, m.trainModelDot)
 	d := cache.y[idx] - yhat
 	m.update(m.TrainCounter, e, cache.y[idx], yhat)
@@ -175,32 +205,39 @@ func (m *Model) calibrate(cache *trainCache, scratchS, scratchRaw hdc.Vector) {
 	if n > calibSamples {
 		step = n / calibSamples
 	}
-	var sp, sy, spp, spy float64
-	var cnt float64
+	var fit calibFit
 	for idx := 0; idx < n; idx += step {
-		e := encoded{packed: cache.packed[idx], s: scratchS}
-		hdc.UnpackInto(scratchS, cache.packed[idx])
-		if cache.raw != nil {
-			for j, v := range cache.raw[idx] {
-				scratchRaw[j] = float64(v)
-			}
-			e.raw = scratchRaw
-		}
-		p := m.predictWith(m.TrainCounter, e, m.modelDot)
-		y := cache.y[idx]
-		sp += p
-		sy += y
-		spp += p * p
-		spy += p * y
-		cnt++
+		e := cache.row(idx, scratchS, scratchRaw)
+		fit.add(m.predictWith(m.TrainCounter, e, m.modelDot), cache.y[idx])
 	}
-	varP := spp/cnt - (sp/cnt)*(sp/cnt)
+	m.calibA, m.calibB = fit.solve()
+}
+
+// calibFit accumulates (uncalibrated deployment prediction, target) pairs
+// for the least-squares output calibration that calibrate (per epoch) and
+// RefreshShadows (streaming) fit.
+type calibFit struct {
+	sp, sy, spp, spy, cnt float64
+}
+
+func (f *calibFit) add(p, y float64) {
+	f.sp += p
+	f.sy += y
+	f.spp += p * p
+	f.spy += p * y
+	f.cnt++
+}
+
+// solve returns the (a, b) minimizing Σ(a·p + b − y)²: identity slope and
+// the mean target when the predictions have no variance to fit.
+func (f *calibFit) solve() (a, b float64) {
+	cnt := f.cnt
+	varP := f.spp/cnt - (f.sp/cnt)*(f.sp/cnt)
 	if varP < 1e-12 {
-		m.calibA, m.calibB = 1, sy/cnt
-		return
+		return 1, f.sy / cnt
 	}
-	m.calibA = (spy/cnt - sp/cnt*sy/cnt) / varP
-	m.calibB = sy/cnt - m.calibA*sp/cnt
+	a = (f.spy/cnt - f.sp/cnt*f.sy/cnt) / varP
+	return a, f.sy/cnt - a*f.sp/cnt
 }
 
 // Fit trains the model on train with iterative passes until the

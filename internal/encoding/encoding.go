@@ -18,14 +18,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"reghd/internal/hdc"
 )
 
 // Nonlinear is the Eq. 1 encoder. It is safe for concurrent use once
-// constructed: Encode* methods only read the projection state.
+// constructed: EncodeInto only reads the projection state.
 // Projection selects the distribution of the base hypervectors B_k.
 type Projection int
 
@@ -59,8 +58,8 @@ type Nonlinear struct {
 	// bit-for-bit identical to the dense multiply (see hdc.SignMatrix).
 	packed *hdc.SignMatrix
 
-	// pool recycles D-length projection scratch across Encode* calls that
-	// never hand the buffer to the caller (EncodeBinary's direct raw→packed
+	// pool recycles D-length projection scratch across EncodeInto calls
+	// that never hand the buffer to the caller (the direct raw→packed
 	// path), so the binary serving path allocates nothing per encode.
 	pool sync.Pool
 }
@@ -161,22 +160,6 @@ func (e *Nonlinear) project(ctr *hdc.Counter, out []float64, x []float64) {
 	hdc.ProjectDense(ctr, out, x, e.proj)
 }
 
-// checkInput validates the feature count of x.
-func (e *Nonlinear) checkInput(x []float64) error {
-	if len(x) != e.features {
-		return fmt.Errorf("encoding: input has %d features, encoder expects %d", len(x), e.features)
-	}
-	return nil
-}
-
-// checkDst validates a caller-supplied D-length destination buffer.
-func (e *Nonlinear) checkDst(dst []float64) error {
-	if len(dst) != e.dim {
-		return fmt.Errorf("encoding: destination has dim %d, encoder produces %d", len(dst), e.dim)
-	}
-	return nil
-}
-
 // getBuf returns a pooled D-length projection scratch buffer.
 func (e *Nonlinear) getBuf() []float64 {
 	if v := e.pool.Get(); v != nil {
@@ -254,89 +237,68 @@ func (e *Nonlinear) bipolarize(ctr *hdc.Counter, h []float64) {
 	ctr.Add(hdc.OpCmp, d)
 }
 
-// Encode maps x into the raw (real-valued) hypervector H of Eq. 1.
-func (e *Nonlinear) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h := make(hdc.Vector, e.dim)
-	if err := e.EncodeInto(ctr, x, h); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// EncodeInto is Encode writing into a caller-supplied D-length buffer, so
-// hot prediction paths can pool their encode scratch instead of allocating
-// per call.
-func (e *Nonlinear) EncodeInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
-	if err := e.checkInput(x); err != nil {
-		return err
-	}
-	if err := e.checkDst(dst); err != nil {
-		return err
-	}
-	e.project(ctr, dst, x)
-	e.nonlinearize(ctr, dst)
-	return nil
-}
-
-// EncodeBipolar maps x into the quantized bipolar hypervector
-// S ∈ {−1,+1}^D used throughout training in the paper.
+// EncodeInto implements Encoder for the Eq. 1 map. The projection F·B runs
+// once into the first requested output (pooled scratch for packed alone);
+// what follows depends on the outputs requested:
 //
-// The Eq. 1 product expands to H_j = ½·sin(2·F·B_j + b_j) − ½·sin(b_j);
-// the second term is a constant shared by every input, so quantizing the raw
-// value at zero would bias dimension j the same way for all inputs and leave
-// unrelated encodings correlated. We therefore quantize relative to that
-// per-dimension constant — S_j = sign(H_j − center_j) = sign(sin(2F·B_j+b_j))
-// — which keeps unrelated inputs nearly orthogonal while preserving the
-// local-similarity structure.
-func (e *Nonlinear) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h := make(hdc.Vector, e.dim)
-	if err := e.EncodeBipolarInto(ctr, x, h); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// EncodeBipolarInto is EncodeBipolar writing into a caller-supplied
-// D-length buffer. The nonlinearity and the centered-sign threshold run as
-// one fused pass (see bipolarize); bits of the result and op charges are
-// identical to EncodeInto followed by the separate quantization.
-func (e *Nonlinear) EncodeBipolarInto(ctr *hdc.Counter, x []float64, dst hdc.Vector) error {
-	if err := e.checkInput(x); err != nil {
+//   - raw: nonlinearize into raw, then quantizeInto for S (into bipolar, or
+//     into pooled scratch when only packed needs it);
+//   - bipolar without raw: the fused bipolarize pass, never materializing H;
+//   - packed alone: each H_j is thresholded straight into the destination
+//     words, never materializing S.
+//
+// S is the centered sign. The Eq. 1 product expands to
+// H_j = ½·sin(2·F·B_j + b_j) − ½·sin(b_j); the second term is a constant
+// shared by every input, so quantizing the raw value at zero would bias
+// dimension j the same way for all inputs and leave unrelated encodings
+// correlated. We therefore quantize relative to that per-dimension
+// constant — S_j = sign(H_j − center_j) = sign(sin(2F·B_j+b_j)) — which
+// keeps unrelated inputs nearly orthogonal while preserving the
+// local-similarity structure. All three routes decide on the same 64-bit
+// H_j, so their bits agree, and each charges what the materializing path
+// (nonlinearize, quantizeInto, hdc.PackInto) charges for the same outputs.
+func (e *Nonlinear) EncodeInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector, packed *hdc.Binary) error {
+	if err := checkEncode(e.dim, e.features, x, raw, bipolar, packed); err != nil {
 		return err
 	}
-	if err := e.checkDst(dst); err != nil {
-		return err
+	switch {
+	case raw != nil:
+		e.project(ctr, raw, x)
+		e.nonlinearize(ctr, raw)
+		if bipolar == nil && packed != nil {
+			buf := e.getBuf()
+			defer e.putBuf(buf)
+			bipolar = buf
+		}
+		if bipolar != nil {
+			e.quantizeInto(ctr, bipolar, raw)
+		}
+	case bipolar != nil:
+		e.project(ctr, bipolar, x)
+		e.bipolarize(ctr, bipolar)
+	case packed != nil:
+		e.encodePacked(ctr, x, packed)
+		return nil
 	}
-	e.project(ctr, dst, x)
-	e.bipolarize(ctr, dst)
+	if packed != nil {
+		hdc.PackInto(ctr, packed, bipolar)
+	}
 	return nil
 }
 
-// EncodeBinary maps x into the bit-packed binary hypervector S^b used by the
-// quantized similarity kernels (Section 3.1). Bit j is set exactly when
-// EncodeBipolar would produce +1.
-func (e *Nonlinear) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	b := hdc.NewBinary(e.dim)
-	if err := e.EncodeBinaryInto(ctr, x, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+// Encode returns the raw hypervector H of x in a fresh vector.
+func (e *Nonlinear) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
+	return encodeRaw(e, ctr, x)
 }
 
-// EncodeBinaryInto encodes x straight into a bit-packed hypervector: the
+// encodePacked encodes x straight into a bit-packed hypervector: the
 // projection lands in pooled scratch and each component is thresholded
-// against center_j directly into the destination words, never materializing
-// the intermediate ±1 float vector. Bits are identical to
-// Pack(EncodeBipolar(x)) — both set bit j exactly when H_j >= center_j —
-// and the op charges equal the materializing path's (Encode + quantize +
-// Pack), keeping the hwmodel cost contract.
-func (e *Nonlinear) EncodeBinaryInto(ctr *hdc.Counter, x []float64, dst *hdc.Binary) error {
-	if err := e.checkInput(x); err != nil {
-		return err
-	}
-	if dst.Dim != e.dim {
-		return fmt.Errorf("encoding: destination has dim %d, encoder produces %d", dst.Dim, e.dim)
-	}
+// against center_j directly into the destination words, never
+// materializing the intermediate ±1 float vector. Bits are identical to
+// packing bipolarize's output — both set bit j exactly when H_j >= center_j
+// — and the op charges equal that materializing path's (nonlinearize +
+// quantizeInto + hdc.PackInto), keeping the hwmodel cost contract.
+func (e *Nonlinear) encodePacked(ctr *hdc.Counter, x []float64, dst *hdc.Binary) {
 	buf := e.getBuf()
 	defer e.putBuf(buf)
 	e.project(ctr, buf, x)
@@ -353,9 +315,6 @@ func (e *Nonlinear) EncodeBinaryInto(ctr *hdc.Counter, x []float64, dst *hdc.Bin
 			words[j/64] |= 1 << uint(j%64)
 		}
 	}
-	// Charge what the materializing reference path charges after the
-	// projection: the nonlinearity (Encode), the centered-sign threshold
-	// (EncodeBipolar), and the bit-pack (hdc.Pack).
 	d := uint64(e.dim)
 	ctr.Add(hdc.OpExp, 2*d)
 	ctr.Add(hdc.OpFloatAdd, d)
@@ -364,160 +323,4 @@ func (e *Nonlinear) EncodeBinaryInto(ctr *hdc.Counter, x []float64, dst *hdc.Bin
 	ctr.Add(hdc.OpCmp, 2*d)
 	ctr.Add(hdc.OpMemRead, d)
 	ctr.Add(hdc.OpMemWrite, uint64(len(words)))
-	return nil
-}
-
-// EncodeBoth returns the raw hypervector H and its centered-sign bipolar
-// quantization S from a single projection pass.
-func (e *Nonlinear) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.Vector, err error) {
-	raw = make(hdc.Vector, e.dim)
-	bipolar = make(hdc.Vector, e.dim)
-	if err := e.EncodeBothInto(ctr, x, raw, bipolar); err != nil {
-		return nil, nil, err
-	}
-	return raw, bipolar, nil
-}
-
-// EncodeBothInto is EncodeBoth writing into caller-supplied D-length
-// buffers.
-func (e *Nonlinear) EncodeBothInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector) error {
-	if err := e.EncodeInto(ctr, x, raw); err != nil {
-		return err
-	}
-	if err := e.checkDst(bipolar); err != nil {
-		return err
-	}
-	e.quantizeInto(ctr, bipolar, raw)
-	return nil
-}
-
-// BatchError reports a partially failed batch encode: which row failed
-// first, the underlying cause, and how many of the batch's rows were left
-// unencoded (the failed row plus every row its worker abandoned after it —
-// other workers run their chunks to completion). EncodeBatchParallel returns
-// a nil result alongside it, so the unencoded rows can never be read back;
-// the counts exist so callers retrying or logging know the blast radius
-// instead of guessing from a single row index.
-type BatchError struct {
-	// Row is the lowest-index row that failed.
-	Row int
-	// Unencoded is the number of rows without a valid encoding: every
-	// failed row plus the rows abandoned after a worker's first failure.
-	Unencoded int
-	// Total is the batch size.
-	Total int
-	// Err is the failure of row Row.
-	Err error
-}
-
-// Error formats the failure with its blast radius.
-func (e *BatchError) Error() string {
-	return fmt.Sprintf("encoding row %d: %v (%d of %d rows unencoded)", e.Row, e.Err, e.Unencoded, e.Total)
-}
-
-// Unwrap returns the underlying row failure for errors.Is/As.
-func (e *BatchError) Unwrap() error { return e.Err }
-
-// EncodeBatch encodes each row of xs with EncodeBipolar, fanning the rows
-// out over GOMAXPROCS workers (the encoder is read-only, so batch encoding
-// is embarrassingly parallel). On success, results and accumulated op
-// counts are identical to the serial loop; on invalid rows a *BatchError
-// reporting the lowest failed row index and the unencoded-row count is
-// returned (workers may have counted rows past the failure).
-func (e *Nonlinear) EncodeBatch(ctr *hdc.Counter, xs [][]float64) ([]hdc.Vector, error) {
-	return e.EncodeBatchParallel(ctr, xs, 0)
-}
-
-// EncodeBatchParallel is EncodeBatch with an explicit worker count
-// (0 means GOMAXPROCS, 1 forces the serial loop).
-//
-// The returned rows are views into one contiguous n×D slab allocated up
-// front — two allocations for the whole batch instead of one fresh vector
-// per row, which is what previously kept the parallel lane at parity with
-// the serial one (every worker was burning its cycles in the allocator and
-// the write misses of scattered fresh vectors; see docs/PERFORMANCE.md
-// "Flat spots"). Each worker encodes straight into its chunk of the slab via
-// the fused project+bipolarize pass, touching no shared scratch.
-func (e *Nonlinear) EncodeBatchParallel(ctr *hdc.Counter, xs [][]float64, workers int) ([]hdc.Vector, error) {
-	n := len(xs)
-	out := make([]hdc.Vector, n)
-	if n == 0 {
-		return out, nil
-	}
-	slab := make([]float64, n*e.dim)
-	for i := range out {
-		out[i] = hdc.Vector(slab[i*e.dim : (i+1)*e.dim])
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, x := range xs {
-			if err := e.EncodeBipolarInto(ctr, x, out[i]); err != nil {
-				return nil, &BatchError{Row: i, Unencoded: n - i, Total: n, Err: err}
-			}
-		}
-		return out, nil
-	}
-	type chunkErr struct {
-		row       int // first failed row, -1 when the chunk succeeded
-		abandoned int // rows the worker never reached after the failure
-		err       error
-	}
-	errs := make([]chunkErr, workers)
-	counters := make([]*hdc.Counter, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			errs[w].row = -1
-			continue
-		}
-		wg.Add(1)
-		var wctr *hdc.Counter
-		if ctr != nil {
-			wctr = &hdc.Counter{}
-			counters[w] = wctr
-		}
-		go func(w, lo, hi int, wctr *hdc.Counter) {
-			defer wg.Done()
-			errs[w].row = -1
-			for i := lo; i < hi; i++ {
-				if err := e.EncodeBipolarInto(wctr, xs[i], out[i]); err != nil {
-					errs[w] = chunkErr{row: i, abandoned: hi - i, err: err}
-					return
-				}
-			}
-		}(w, lo, hi, wctr)
-	}
-	wg.Wait()
-	// Merge per-worker counters before the error check so a failed batch
-	// still accounts for the encodes its workers performed.
-	for _, wctr := range counters {
-		ctr.AddCounter(wctr)
-	}
-	first, unencoded := -1, 0
-	var cause error
-	for _, ce := range errs {
-		if ce.row < 0 {
-			continue
-		}
-		unencoded += ce.abandoned
-		if first < 0 || ce.row < first {
-			first = ce.row
-			cause = ce.err
-		}
-	}
-	if first >= 0 {
-		return nil, &BatchError{Row: first, Unencoded: unencoded, Total: n, Err: cause}
-	}
-	return out, nil
 }

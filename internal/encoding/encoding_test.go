@@ -1,10 +1,8 @@
 package encoding
 
 import (
-	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -28,16 +26,26 @@ func TestNewNonlinearValidation(t *testing.T) {
 	}
 }
 
+// packedOf returns the bit-packed encoding of x: EncodeInto with only the
+// packed output requested.
+func packedOf(e Encoder, ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
+	b := hdc.NewBinary(e.Dim())
+	if err := e.EncodeInto(ctr, x, nil, nil, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 func TestNonlinearInputLengthChecked(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	e, _ := NewNonlinear(rng, 4, 64)
 	if _, err := e.Encode(nil, []float64{1, 2}); err == nil {
 		t.Fatal("accepted wrong input length")
 	}
-	if _, err := e.EncodeBipolar(nil, []float64{1, 2, 3, 4, 5}); err == nil {
+	if _, err := Bipolar(e, nil, []float64{1, 2, 3, 4, 5}); err == nil {
 		t.Fatal("bipolar accepted wrong input length")
 	}
-	if _, err := e.EncodeBinary(nil, make([]float64, 3)); err == nil {
+	if _, err := packedOf(e, nil, make([]float64, 3)); err == nil {
 		t.Fatal("binary accepted wrong input length")
 	}
 }
@@ -78,9 +86,9 @@ func TestNonlinearBipolarIsCenteredSignOfRaw(t *testing.T) {
 	e, _ := NewNonlinear(rng, 5, 200)
 	x := []float64{0.4, -0.1, 0.2, 0.8, -0.6}
 	raw, _ := e.Encode(nil, x)
-	bip, _ := e.EncodeBipolar(nil, x)
+	bip, _ := Bipolar(e, nil, x)
 	if !bip.IsBipolar() {
-		t.Fatal("EncodeBipolar output not bipolar")
+		t.Fatal("Bipolar output not bipolar")
 	}
 	for j := range raw {
 		want := 1.0
@@ -97,8 +105,8 @@ func TestNonlinearBinaryMatchesBipolar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	e, _ := NewNonlinear(rng, 5, 333)
 	x := []float64{0.4, -0.1, 0.2, 0.8, -0.6}
-	bip, _ := e.EncodeBipolar(nil, x)
-	bin, _ := e.EncodeBinary(nil, x)
+	bip, _ := Bipolar(e, nil, x)
+	bin, _ := packedOf(e, nil, x)
 	dense := hdc.Unpack(bin)
 	for j := range bip {
 		if bip[j] != dense[j] {
@@ -121,9 +129,9 @@ func TestSimilarityPreserving(t *testing.T) {
 		near[i] = base[i] + 0.02*rng.NormFloat64()
 		far[i] = 5 * rng.NormFloat64()
 	}
-	hb, _ := e.EncodeBipolar(nil, base)
-	hn, _ := e.EncodeBipolar(nil, near)
-	hf, _ := e.EncodeBipolar(nil, far)
+	hb, _ := Bipolar(e, nil, base)
+	hn, _ := Bipolar(e, nil, near)
+	hf, _ := Bipolar(e, nil, far)
 	simNear := hdc.Cosine(nil, hb, hn)
 	simFar := hdc.Cosine(nil, hb, hf)
 	if simNear < 0.7 {
@@ -151,9 +159,9 @@ func TestSimilarityMonotoneProperty(t *testing.T) {
 			small[i] = base[i] + 0.05*d
 			big[i] = base[i] + 2.0*d
 		}
-		hb, _ := e.EncodeBipolar(nil, base)
-		hs, _ := e.EncodeBipolar(nil, small)
-		hg, _ := e.EncodeBipolar(nil, big)
+		hb, _ := Bipolar(e, nil, base)
+		hs, _ := Bipolar(e, nil, small)
+		hg, _ := Bipolar(e, nil, big)
 		return hdc.Cosine(nil, hb, hs) > hdc.Cosine(nil, hb, hg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -186,8 +194,8 @@ func TestBipolarProjectionVariant(t *testing.T) {
 	// The bipolar variant still preserves similarity for moderate n.
 	base := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
 	near := []float64{0.12, -0.18, 0.31, 0.41, -0.52, 0.58}
-	hb, _ := e.EncodeBipolar(nil, base)
-	hn, _ := e.EncodeBipolar(nil, near)
+	hb, _ := Bipolar(e, nil, base)
+	hn, _ := Bipolar(e, nil, near)
 	if hdc.Cosine(nil, hb, hn) < 0.5 {
 		t.Fatal("bipolar projection lost local similarity")
 	}
@@ -196,23 +204,6 @@ func TestBipolarProjectionVariant(t *testing.T) {
 	}
 	if _, err := NewNonlinearProjection(rng, 2, 10, -1, ProjGaussian); err == nil {
 		t.Fatal("negative bandwidth accepted")
-	}
-}
-
-func TestEncodeBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	e, _ := NewNonlinear(rng, 3, 128)
-	xs := [][]float64{{1, 2, 3}, {0, 0, 0}, {-1, 0.5, 2}}
-	hs, err := e.EncodeBatch(nil, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) != 3 {
-		t.Fatalf("batch size %d", len(hs))
-	}
-	bad := [][]float64{{1, 2}}
-	if _, err := e.EncodeBatch(nil, bad); err == nil {
-		t.Fatal("batch accepted wrong row length")
 	}
 }
 
@@ -283,33 +274,34 @@ func TestPackedProjectionMatchesNaive(t *testing.T) {
 
 		cp.Reset()
 		cn.Reset()
-		sp, _ := ep.EncodeBipolar(&cp, x)
-		sn, _ := en.EncodeBipolar(&cn, x)
+		sp, _ := Bipolar(ep, &cp, x)
+		sn, _ := Bipolar(en, &cn, x)
 		for j := range sp {
 			if sp[j] != sn[j] {
 				t.Fatalf("n=%d D=%d: bipolar[%d] diverges", tc.n, tc.dim, j)
 			}
 		}
 		if cp != cn {
-			t.Fatalf("n=%d D=%d: EncodeBipolar op counts diverge", tc.n, tc.dim)
+			t.Fatalf("n=%d D=%d: Bipolar op counts diverge", tc.n, tc.dim)
 		}
 
 		cp.Reset()
 		cn.Reset()
-		bp, _ := ep.EncodeBinary(&cp, x)
-		bn, _ := en.EncodeBinary(&cn, x)
+		bp, _ := packedOf(ep, &cp, x)
+		bn, _ := packedOf(en, &cn, x)
 		if !bp.Equal(bn) {
 			t.Fatalf("n=%d D=%d: binary encodings diverge", tc.n, tc.dim)
 		}
 		if cp != cn {
-			t.Fatalf("n=%d D=%d: EncodeBinary op counts diverge", tc.n, tc.dim)
+			t.Fatalf("n=%d D=%d: packed op counts diverge", tc.n, tc.dim)
 		}
 	}
 }
 
-// TestEncodeBinaryDirectMatchesMaterialized pins the satellite contract: the
-// direct raw→packed path must produce the exact bits of Pack(EncodeBipolar)
-// and charge the identical op counts, for both projection kinds.
+// TestEncodeBinaryDirectMatchesMaterialized pins the packed-only route of
+// EncodeInto: the direct raw→packed path must produce the exact bits of
+// Pack(Bipolar) and charge the identical op counts, for both projection
+// kinds.
 func TestEncodeBinaryDirectMatchesMaterialized(t *testing.T) {
 	for _, kind := range []Projection{ProjGaussian, ProjBipolar} {
 		e, err := NewNonlinearProjection(rand.New(rand.NewSource(13)), 7, 1000, 3, kind)
@@ -323,17 +315,17 @@ func TestEncodeBinaryDirectMatchesMaterialized(t *testing.T) {
 				x[i] = rng.NormFloat64()
 			}
 			var cDirect, cRef hdc.Counter
-			direct, err := e.EncodeBinary(&cDirect, x)
+			direct, err := packedOf(e, &cDirect, x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := e.EncodeBipolar(&cRef, x)
+			s, err := Bipolar(e, &cRef, x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref := hdc.Pack(&cRef, s)
 			if !direct.Equal(ref) {
-				t.Fatalf("kind=%v: direct binary encoding differs from Pack(EncodeBipolar)", kind)
+				t.Fatalf("kind=%v: direct binary encoding differs from Pack(Bipolar)", kind)
 			}
 			if cDirect != cRef {
 				t.Fatalf("kind=%v: op counts diverge: direct %v, materialized %v", kind, &cDirect, &cRef)
@@ -342,228 +334,104 @@ func TestEncodeBinaryDirectMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestEncodeIntoMatchesAlloc checks every Into variant against its
-// allocating counterpart: same values, same op counts, and reusable
-// destination buffers.
+// TestEncodeIntoMatchesAlloc checks EncodeInto for every non-empty set of
+// requested outputs against the allocating two-pass reference (Encode, then
+// the centered sign, then hdc.Pack): identical bits in every requested
+// output, including into reused buffers holding stale values, and the
+// charge of exactly what that reference path spends on the same outputs.
 func TestEncodeIntoMatchesAlloc(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(15)), 5, 200, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.3, -0.7, 1.1, 0.2, -0.4}
-	raw := make(hdc.Vector, 200)
-	bip := make(hdc.Vector, 200)
-	bin := hdc.NewBinary(200)
-
-	var cInto, cAlloc hdc.Counter
-	if err := e.EncodeInto(&cInto, x, raw); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := e.Encode(&cAlloc, x)
-	for j := range h {
-		if math.Float64bits(raw[j]) != math.Float64bits(h[j]) {
-			t.Fatalf("EncodeInto diverges at %d", j)
-		}
-	}
-	if cInto != cAlloc {
-		t.Fatal("EncodeInto op counts diverge from Encode")
-	}
-
-	cInto.Reset()
-	cAlloc.Reset()
-	if err := e.EncodeBipolarInto(&cInto, x, bip); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := e.EncodeBipolar(&cAlloc, x)
-	for j := range s {
-		if bip[j] != s[j] {
-			t.Fatalf("EncodeBipolarInto diverges at %d", j)
-		}
-	}
-	if cInto != cAlloc {
-		t.Fatal("EncodeBipolarInto op counts diverge from EncodeBipolar")
-	}
-
-	cInto.Reset()
-	cAlloc.Reset()
-	if err := e.EncodeBothInto(&cInto, x, raw, bip); err != nil {
-		t.Fatal(err)
-	}
-	r2, s2, _ := e.EncodeBoth(&cAlloc, x)
-	for j := range r2 {
-		if math.Float64bits(raw[j]) != math.Float64bits(r2[j]) || bip[j] != s2[j] {
-			t.Fatalf("EncodeBothInto diverges at %d", j)
-		}
-	}
-	if cInto != cAlloc {
-		t.Fatal("EncodeBothInto op counts diverge from EncodeBoth")
-	}
-
-	cInto.Reset()
-	cAlloc.Reset()
-	if err := e.EncodeBinaryInto(&cInto, x, bin); err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := e.EncodeBinary(&cAlloc, x)
-	if !bin.Equal(b2) {
-		t.Fatal("EncodeBinaryInto diverges from EncodeBinary")
-	}
-	if cInto != cAlloc {
-		t.Fatal("EncodeBinaryInto op counts diverge from EncodeBinary")
-	}
-
-	// Destination validation.
-	if err := e.EncodeInto(nil, x, make(hdc.Vector, 10)); err == nil {
-		t.Fatal("EncodeInto accepted a wrong-size destination")
-	}
-	if err := e.EncodeBinaryInto(nil, x, hdc.NewBinary(10)); err == nil {
-		t.Fatal("EncodeBinaryInto accepted a wrong-size destination")
-	}
-	if err := e.EncodeBothInto(nil, x, raw, make(hdc.Vector, 10)); err == nil {
-		t.Fatal("EncodeBothInto accepted a wrong-size bipolar destination")
-	}
-}
-
-// TestEncodeBatchParallelMatchesSerial checks that the parallel batch path
-// produces the rows and op counts of the serial loop.
-func TestEncodeBatchParallelMatchesSerial(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(16)), 4, 300, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	xs := make([][]float64, 37)
-	for i := range xs {
-		row := make([]float64, 4)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		xs[i] = row
-	}
-	var cSerial, cParallel hdc.Counter
-	serial, err := e.EncodeBatchParallel(&cSerial, xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := e.EncodeBatchParallel(&cParallel, xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		for j := range serial[i] {
-			if serial[i][j] != parallel[i][j] {
-				t.Fatalf("row %d diverges at %d", i, j)
-			}
-		}
-	}
-	if cSerial != cParallel {
-		t.Fatalf("batch op counts diverge: serial %v, parallel %v", &cSerial, &cParallel)
-	}
-	// Lowest-index error reporting across workers.
-	bad := make([][]float64, 16)
-	for i := range bad {
-		bad[i] = make([]float64, 4)
-	}
-	bad[3] = []float64{1}
-	bad[11] = []float64{1}
-	_, err = e.EncodeBatchParallel(nil, bad, 4)
-	if err == nil {
-		t.Fatal("parallel batch accepted bad rows")
-	}
-	if want := "encoding row 3"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name the lowest failing row", err)
-	}
-}
-
-// TestEncodeBatchMatchesEncodeBipolar pins the slab-backed batch path to the
-// single-row entry point bit-for-bit, and checks the documented contiguity:
-// rows are consecutive views into one slab.
-func TestEncodeBatchMatchesEncodeBipolar(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(40)), 6, 257, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(41))
-	xs := make([][]float64, 9)
-	for i := range xs {
-		row := make([]float64, 6)
-		for j := range row {
-			row[j] = rng.NormFloat64()
-		}
-		xs[i] = row
-	}
-	batch, err := e.EncodeBatchParallel(nil, xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := e.EncodeBipolar(nil, x)
+	const n, dim = 5, 200
+	for _, kind := range []Projection{ProjGaussian, ProjBipolar} {
+		e, err := NewNonlinearProjection(rand.New(rand.NewSource(15)), n, dim, 2, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if math.Float64bits(batch[i][j]) != math.Float64bits(want[j]) {
-				t.Fatalf("row %d diverges from EncodeBipolar at %d", i, j)
+		x := []float64{0.3, -0.7, 1.1, 0.2, -0.4}
+		var cH hdc.Counter
+		h, err := e.Encode(&cH, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := hdc.NewVector(dim)
+		for j, v := range h {
+			s[j] = -1
+			if v >= e.center[j] {
+				s[j] = 1
 			}
 		}
-	}
-	for i := 1; i < len(batch); i++ {
-		prev := batch[i-1][:cap(batch[i-1])]
-		if len(prev) < e.Dim()+1 || &prev[e.Dim()] != &batch[i][0] {
-			t.Fatalf("row %d is not contiguous with row %d", i, i-1)
+		for mask := 1; mask < 8; mask++ {
+			var raw, bip hdc.Vector
+			var bin *hdc.Binary
+			if mask&1 != 0 {
+				raw = hdc.NewVector(dim)
+			}
+			if mask&2 != 0 {
+				bip = hdc.NewVector(dim)
+			}
+			if mask&4 != 0 {
+				bin = hdc.NewBinary(dim)
+			}
+			for round := 0; round < 2; round++ {
+				// Stale contents must be fully overwritten.
+				for j := range raw {
+					raw[j] = math.NaN()
+				}
+				for j := range bip {
+					bip[j] = 7
+				}
+				if bin != nil {
+					for w := range bin.Words {
+						bin.Words[w] = ^uint64(0)
+					}
+				}
+				var got hdc.Counter
+				if err := e.EncodeInto(&got, x, raw, bip, bin); err != nil {
+					t.Fatal(err)
+				}
+				for j := range raw {
+					if math.Float64bits(raw[j]) != math.Float64bits(h[j]) {
+						t.Fatalf("kind=%v mask=%03b: raw[%d] = %v, want %v", kind, mask, j, raw[j], h[j])
+					}
+				}
+				for j := range bip {
+					if bip[j] != s[j] {
+						t.Fatalf("kind=%v mask=%03b: bipolar[%d] = %v, want %v", kind, mask, j, bip[j], s[j])
+					}
+				}
+				want := cH
+				if mask&6 != 0 {
+					want.Add(hdc.OpCmp, dim)
+				}
+				if bin != nil {
+					if ref := hdc.Pack(&want, s); !bin.Equal(ref) {
+						t.Fatalf("kind=%v mask=%03b: packed differs from Pack(S)", kind, mask)
+					}
+				}
+				if got != want {
+					t.Fatalf("kind=%v mask=%03b: charged %v, want %v", kind, mask, &got, &want)
+				}
+			}
 		}
-	}
-	empty, err := e.EncodeBatchParallel(nil, nil, 0)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty batch: %v, %v", empty, err)
-	}
-}
 
-// TestEncodeBatchTypedError checks the *BatchError contract on both the
-// serial and the parallel path: lowest failed row, unencoded-row accounting,
-// and errors.As/Unwrap reachability.
-func TestEncodeBatchTypedError(t *testing.T) {
-	e, err := NewNonlinearProjection(rand.New(rand.NewSource(42)), 4, 64, 2, ProjBipolar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkBatch := func(n int, badRows ...int) [][]float64 {
-		xs := make([][]float64, n)
-		for i := range xs {
-			xs[i] = make([]float64, 4)
+		// No output requested: nothing to do, nothing charged.
+		var none hdc.Counter
+		if err := e.EncodeInto(&none, x, nil, nil, nil); err != nil || none.Total() != 0 {
+			t.Fatalf("kind=%v: empty request returned %v and charged %v", kind, err, &none)
 		}
-		for _, i := range badRows {
-			xs[i] = []float64{1}
+
+		// Destination validation.
+		if err := e.EncodeInto(nil, x, make(hdc.Vector, 10), nil, nil); err == nil {
+			t.Fatal("EncodeInto accepted a wrong-size raw destination")
 		}
-		return xs
-	}
-
-	// Serial: failure at row 5 of 8 abandons rows 5..7.
-	_, err = e.EncodeBatchParallel(nil, mkBatch(8, 5), 1)
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("serial error %T is not a *BatchError", err)
-	}
-	if be.Row != 5 || be.Unencoded != 3 || be.Total != 8 {
-		t.Fatalf("serial BatchError = row %d, unencoded %d, total %d; want 5, 3, 8", be.Row, be.Unencoded, be.Total)
-	}
-	if be.Unwrap() == nil {
-		t.Fatal("BatchError.Unwrap is nil")
-	}
-
-	// Parallel, 4 workers × chunks of 4 over 16 rows: worker 0 fails at row
-	// 1 (abandons 1..3 → 3 rows), worker 2 fails at row 11 (abandons 11 →
-	// 1 row); workers 1 and 3 complete. Lowest failed row wins the report.
-	be = nil
-	_, err = e.EncodeBatchParallel(nil, mkBatch(16, 1, 11), 4)
-	if !errors.As(err, &be) {
-		t.Fatalf("parallel error %T is not a *BatchError", err)
-	}
-	if be.Row != 1 || be.Unencoded != 4 || be.Total != 16 {
-		t.Fatalf("parallel BatchError = row %d, unencoded %d, total %d; want 1, 4, 16", be.Row, be.Unencoded, be.Total)
-	}
-	if !strings.Contains(be.Error(), "4 of 16 rows unencoded") {
-		t.Fatalf("BatchError text %q does not carry the blast radius", be.Error())
+		if err := e.EncodeInto(nil, x, nil, make(hdc.Vector, 10), nil); err == nil {
+			t.Fatal("EncodeInto accepted a wrong-size bipolar destination")
+		}
+		if err := e.EncodeInto(nil, x, nil, nil, hdc.NewBinary(10)); err == nil {
+			t.Fatal("EncodeInto accepted a wrong-size packed destination")
+		}
+		if err := e.EncodeInto(nil, x[:4], nil, hdc.NewVector(dim), nil); err == nil {
+			t.Fatal("EncodeInto accepted a wrong-length input")
+		}
 	}
 }
 

@@ -96,12 +96,56 @@ func (e *IDLevel) quantize(x float64) int {
 	return l
 }
 
-// Encode maps x into the bundled (integer-valued) hypervector.
-func (e *IDLevel) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	if len(x) != e.features {
-		return nil, fmt.Errorf("encoding: input has %d features, encoder expects %d", len(x), e.features)
+// EncodeInto implements Encoder. H = Σ_k ID_k ⊙ L(quantize(x_k)) is
+// bundled into raw; without raw it is bundled straight into bipolar (fresh
+// scratch for packed alone) and signed in place. S = sign(H), ties to +1,
+// and packed holds S bit-packed.
+//
+// The in-place sign of the S-only route charges one comparison per
+// dimension, while S next to raw charges hdc.SignInto's comparison, read
+// and write per dimension: the two routes have always been priced that
+// way, and the op-count contract pins both.
+func (e *IDLevel) EncodeInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector, packed *hdc.Binary) error {
+	if err := checkEncode(e.dim, e.features, x, raw, bipolar, packed); err != nil {
+		return err
 	}
-	h := make(hdc.Vector, e.dim)
+	h := raw
+	if h == nil {
+		h = bipolar
+	}
+	if h == nil {
+		if packed == nil {
+			return nil
+		}
+		h = hdc.NewVector(e.dim)
+	}
+	e.bundle(ctr, h, x)
+	switch {
+	case raw == nil:
+		hdc.SignInto(nil, h, h)
+		ctr.Add(hdc.OpCmp, uint64(e.dim))
+		bipolar = h
+	case bipolar != nil || packed != nil:
+		if bipolar == nil {
+			bipolar = hdc.NewVector(e.dim)
+		}
+		hdc.SignInto(ctr, bipolar, raw)
+	}
+	if packed != nil {
+		hdc.PackInto(ctr, packed, bipolar)
+	}
+	return nil
+}
+
+// Encode returns the bundled (integer-valued) hypervector H of x in a
+// fresh vector.
+func (e *IDLevel) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
+	return encodeRaw(e, ctr, x)
+}
+
+// bundle overwrites h with Σ_k ID_k ⊙ L(quantize(x_k)).
+func (e *IDLevel) bundle(ctr *hdc.Counter, h hdc.Vector, x []float64) {
+	h.Zero()
 	for k, v := range x {
 		lvl := e.lvls[e.quantize(v)]
 		id := e.ids[k]
@@ -115,42 +159,4 @@ func (e *IDLevel) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
 	ctr.Add(hdc.OpCmp, uint64(e.features)) // quantization
 	ctr.Add(hdc.OpMemRead, 2*n)
 	ctr.Add(hdc.OpMemWrite, uint64(e.dim))
-	return h, nil
-}
-
-// EncodeBipolar maps x into sign(H) ∈ {−1,+1}^D.
-func (e *IDLevel) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	for j, v := range h {
-		if v >= 0 {
-			h[j] = 1
-		} else {
-			h[j] = -1
-		}
-	}
-	ctr.Add(hdc.OpCmp, uint64(e.dim))
-	return h, nil
-}
-
-// EncodeBinary maps x into the bit-packed quantized hypervector.
-func (e *IDLevel) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.Pack(ctr, h), nil
-}
-
-// EncodeBoth returns the raw bundled hypervector and its sign quantization
-// from a single encoding pass.
-func (e *IDLevel) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.Vector, err error) {
-	raw, err = e.Encode(ctr, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	bipolar = hdc.Sign(ctr, raw)
-	return raw, bipolar, nil
 }

@@ -67,9 +67,9 @@ func TestIDLevelSimilarityPreserving(t *testing.T) {
 	base := []float64{0.1, -0.5, 1.0, 0.0, -1.2}
 	near := []float64{0.15, -0.45, 1.05, 0.05, -1.15}
 	far := []float64{-1.8, 1.9, -1.5, 1.7, 1.9}
-	hb, _ := e.EncodeBipolar(nil, base)
-	hn, _ := e.EncodeBipolar(nil, near)
-	hf, _ := e.EncodeBipolar(nil, far)
+	hb, _ := Bipolar(e, nil, base)
+	hn, _ := Bipolar(e, nil, near)
+	hf, _ := Bipolar(e, nil, far)
 	if hdc.Cosine(nil, hb, hn) <= hdc.Cosine(nil, hb, hf) {
 		t.Fatal("ID-level encoding not similarity preserving")
 	}
@@ -81,10 +81,10 @@ func TestIDLevelInputLengthChecked(t *testing.T) {
 	if _, err := e.Encode(nil, []float64{1}); err == nil {
 		t.Fatal("accepted wrong input length")
 	}
-	if _, err := e.EncodeBipolar(nil, []float64{1, 2, 3, 4, 5}); err == nil {
+	if _, err := Bipolar(e, nil, []float64{1, 2, 3, 4, 5}); err == nil {
 		t.Fatal("bipolar accepted wrong length")
 	}
-	if _, err := e.EncodeBinary(nil, []float64{1}); err == nil {
+	if _, err := packedOf(e, nil, []float64{1}); err == nil {
 		t.Fatal("binary accepted wrong length")
 	}
 }
@@ -93,8 +93,8 @@ func TestIDLevelBinaryMatchesBipolar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e, _ := NewIDLevel(rng, 3, 200, 16, 0, 1)
 	x := []float64{0.2, 0.9, 0.5}
-	bip, _ := e.EncodeBipolar(nil, x)
-	bin, _ := e.EncodeBinary(nil, x)
+	bip, _ := Bipolar(e, nil, x)
+	bin, _ := packedOf(e, nil, x)
 	dense := hdc.Unpack(bin)
 	for j := range bip {
 		if bip[j] != dense[j] {
@@ -113,5 +113,30 @@ func TestIDLevelDeterministic(t *testing.T) {
 		if h1[j] != h2[j] {
 			t.Fatal("same seed produced different ID-level encodings")
 		}
+	}
+}
+
+// TestIDLevelQuantizeCharges pins the two prices of IDLevel's S: the
+// in-place sign of the S-only route charges one comparison per dimension,
+// while S next to H charges hdc.SignInto's comparison, read and write.
+func TestIDLevelQuantizeCharges(t *testing.T) {
+	e, _ := NewIDLevel(rand.New(rand.NewSource(12)), 3, 200, 16, 0, 1)
+	x := []float64{0.2, 0.9, 0.5}
+	var cH, cS, cBoth hdc.Counter
+	if err := e.EncodeInto(&cH, x, hdc.NewVector(200), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EncodeInto(&cS, x, nil, hdc.NewVector(200), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EncodeInto(&cBoth, x, hdc.NewVector(200), hdc.NewVector(200), nil); err != nil {
+		t.Fatal(err)
+	}
+	wantS := cH
+	wantS.Add(hdc.OpCmp, 200)
+	wantBoth := cH
+	hdc.SignInto(&wantBoth, hdc.NewVector(200), hdc.NewVector(200))
+	if cS != wantS || cBoth != wantBoth {
+		t.Fatalf("S-only charged %v (want %v); raw+S charged %v (want %v)", &cS, &wantS, &cBoth, &wantBoth)
 	}
 }

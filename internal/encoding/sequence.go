@@ -44,50 +44,56 @@ func (e *Sequence) Features() int { return e.window * e.base.Features() }
 // Window returns the number of time steps W.
 func (e *Sequence) Window() int { return e.window }
 
-// Encode maps the flattened window into the bundled hypervector.
-func (e *Sequence) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
+// EncodeInto implements Encoder over the flattened window: each step's S
+// is rotated by its lag and bundled into H (into raw, else into bipolar or
+// fresh scratch), then S = sign(H) through hdc.SignInto and packed holds S
+// bit-packed. The per-step encodes allocate; Sequence is not on a serving
+// or training hot path.
+func (e *Sequence) EncodeInto(ctr *hdc.Counter, x []float64, raw, bipolar hdc.Vector, packed *hdc.Binary) error {
 	if len(x) != e.Features() {
-		return nil, fmt.Errorf("encoding: window input has %d values, want %d (%d steps × %d features)",
+		return fmt.Errorf("encoding: window input has %d values, want %d (%d steps × %d features)",
 			len(x), e.Features(), e.window, e.base.Features())
 	}
+	if err := checkEncode(e.Dim(), e.Features(), x, raw, bipolar, packed); err != nil {
+		return err
+	}
+	if raw == nil && bipolar == nil && packed == nil {
+		return nil
+	}
+	h := raw
+	if h == nil {
+		h = bipolar
+	}
+	if h == nil {
+		h = hdc.NewVector(e.Dim())
+	}
+	h.Zero()
 	n := e.base.Features()
-	out := hdc.NewVector(e.Dim())
 	for t := 0; t < e.window; t++ {
-		step, err := e.base.EncodeBipolar(ctr, x[t*n:(t+1)*n])
+		step, err := Bipolar(e.base, ctr, x[t*n:(t+1)*n])
 		if err != nil {
-			return nil, fmt.Errorf("encoding: window step %d: %w", t, err)
+			return fmt.Errorf("encoding: window step %d: %w", t, err)
 		}
-		hdc.Add(ctr, out, hdc.Permute(ctr, step, t))
+		hdc.Add(ctr, h, hdc.Permute(ctr, step, t))
 	}
-	return out, nil
+	if bipolar == nil && packed == nil {
+		return nil
+	}
+	s := bipolar
+	if s == nil {
+		s = h
+		if raw != nil {
+			s = hdc.NewVector(e.Dim())
+		}
+	}
+	hdc.SignInto(ctr, s, h)
+	if packed != nil {
+		hdc.PackInto(ctr, packed, s)
+	}
+	return nil
 }
 
-// EncodeBipolar maps the window into sign(H) ∈ {−1,+1}^D.
-func (e *Sequence) EncodeBipolar(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.Sign(ctr, h), nil
+// Encode returns the bundled window hypervector H in a fresh vector.
+func (e *Sequence) Encode(ctr *hdc.Counter, x []float64) (hdc.Vector, error) {
+	return encodeRaw(e, ctr, x)
 }
-
-// EncodeBinary maps the window into the bit-packed quantized hypervector.
-func (e *Sequence) EncodeBinary(ctr *hdc.Counter, x []float64) (*hdc.Binary, error) {
-	h, err := e.Encode(ctr, x)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.Pack(ctr, h), nil
-}
-
-// EncodeBoth returns the raw bundled window encoding and its sign
-// quantization.
-func (e *Sequence) EncodeBoth(ctr *hdc.Counter, x []float64) (raw, bipolar hdc.Vector, err error) {
-	raw, err = e.Encode(ctr, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raw, hdc.Sign(ctr, raw), nil
-}
-
-var _ Encoder = (*Sequence)(nil)

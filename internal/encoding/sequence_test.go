@@ -39,10 +39,10 @@ func TestSequenceInputLengthChecked(t *testing.T) {
 	if _, err := s.Encode(nil, make([]float64, 5)); err == nil {
 		t.Fatal("wrong window length accepted")
 	}
-	if _, err := s.EncodeBipolar(nil, make([]float64, 7)); err == nil {
+	if _, err := Bipolar(s, nil, make([]float64, 7)); err == nil {
 		t.Fatal("bipolar accepted wrong length")
 	}
-	if _, err := s.EncodeBinary(nil, make([]float64, 1)); err == nil {
+	if _, err := packedOf(s, nil, make([]float64, 1)); err == nil {
 		t.Fatal("binary accepted wrong length")
 	}
 }
@@ -53,9 +53,9 @@ func TestSequenceOrderSensitive(t *testing.T) {
 	s, _ := NewSequence(seqBase(t, 1, 8000), 2)
 	a := []float64{0.3, -0.8}
 	swapped := []float64{-0.8, 0.3}
-	ha, _ := s.EncodeBipolar(nil, a)
-	hb, _ := s.EncodeBipolar(nil, append([]float64(nil), a...))
-	hs, _ := s.EncodeBipolar(nil, swapped)
+	ha, _ := Bipolar(s, nil, a)
+	hb, _ := Bipolar(s, nil, append([]float64(nil), a...))
+	hs, _ := Bipolar(s, nil, swapped)
 	if math.Abs(hdc.Cosine(nil, ha, hb)-1) > 1e-12 {
 		t.Fatal("identical windows should encode identically")
 	}
@@ -70,9 +70,9 @@ func TestSequenceSimilarityPreserving(t *testing.T) {
 	base := []float64{0.1, -0.2, 0.5, 0.9}
 	near := []float64{0.1, -0.2, 0.5, 0.85}
 	far := []float64{-0.9, 0.8, -0.5, -0.1}
-	hb, _ := s.EncodeBipolar(nil, base)
-	hn, _ := s.EncodeBipolar(nil, near)
-	hf, _ := s.EncodeBipolar(nil, far)
+	hb, _ := Bipolar(s, nil, base)
+	hn, _ := Bipolar(s, nil, near)
+	hf, _ := Bipolar(s, nil, far)
 	if hdc.Cosine(nil, hb, hn) <= hdc.Cosine(nil, hb, hf) {
 		t.Fatal("sequence encoding not similarity preserving")
 	}
@@ -84,19 +84,19 @@ func TestSequenceSimilarityPreserving(t *testing.T) {
 func TestSequenceBinaryMatchesBipolar(t *testing.T) {
 	s, _ := NewSequence(seqBase(t, 2, 300), 3)
 	x := []float64{0.1, 0.2, -0.3, 0.4, 0.5, -0.6}
-	bip, err := s.EncodeBipolar(nil, x)
+	bip, err := Bipolar(s, nil, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, _ := s.EncodeBinary(nil, x)
+	bin, _ := packedOf(s, nil, x)
 	dense := hdc.Unpack(bin)
 	for j := range bip {
 		if bip[j] != dense[j] {
 			t.Fatalf("component %d differs", j)
 		}
 	}
-	raw, bip2, err := s.EncodeBoth(nil, x)
-	if err != nil {
+	raw, bip2 := hdc.NewVector(s.Dim()), hdc.NewVector(s.Dim())
+	if err := s.EncodeInto(nil, x, raw, bip2, nil); err != nil {
 		t.Fatal(err)
 	}
 	for j := range bip2 {
@@ -105,7 +105,7 @@ func TestSequenceBinaryMatchesBipolar(t *testing.T) {
 			want = -1
 		}
 		if bip2[j] != want {
-			t.Fatal("EncodeBoth bipolar is not sign of raw")
+			t.Fatal("EncodeInto bipolar is not sign of raw")
 		}
 	}
 }
@@ -114,8 +114,8 @@ func TestSequenceWindowOneMatchesBase(t *testing.T) {
 	base := seqBase(t, 3, 500)
 	s, _ := NewSequence(base, 1)
 	x := []float64{0.4, -0.1, 0.7}
-	want, _ := base.EncodeBipolar(nil, x)
-	got, _ := s.EncodeBipolar(nil, x)
+	want, _ := Bipolar(base, nil, x)
+	got, _ := Bipolar(s, nil, x)
 	if math.Abs(hdc.Cosine(nil, want, got)-1) > 1e-12 {
 		t.Fatal("window-1 sequence should match the base encoder")
 	}

@@ -64,7 +64,7 @@ func sameEncoding(t *testing.T, a, b Encoder, x []float64) {
 	}
 	for _, enc := range []func(Encoder) ([]float64, error){
 		func(e Encoder) ([]float64, error) { return e.Encode(nil, x) },
-		func(e Encoder) ([]float64, error) { return e.EncodeBipolar(nil, x) },
+		func(e Encoder) ([]float64, error) { return Bipolar(e, nil, x) },
 	} {
 		ha, err := enc(a)
 		if err != nil {

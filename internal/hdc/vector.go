@@ -141,18 +141,27 @@ func L1Norm(ctr *Counter, v Vector) float64 {
 // Sign returns the bipolar sign vector of v: +1 where v_i >= 0, else -1.
 func Sign(ctr *Counter, v Vector) Vector {
 	w := make(Vector, len(v))
+	SignInto(ctr, w, v)
+	return w
+}
+
+// SignInto is Sign writing into dst, which must have length len(v) and may
+// alias v.
+func SignInto(ctr *Counter, dst, v Vector) {
+	if len(dst) != len(v) {
+		panic(fmt.Sprintf("hdc: SignInto dimension mismatch %d != %d", len(dst), len(v)))
+	}
 	for i, x := range v {
 		if x >= 0 {
-			w[i] = 1
+			dst[i] = 1
 		} else {
-			w[i] = -1
+			dst[i] = -1
 		}
 	}
 	d := uint64(len(v))
 	ctr.Add(OpCmp, d)
 	ctr.Add(OpMemRead, d)
 	ctr.Add(OpMemWrite, d)
-	return w
 }
 
 // IsBipolar reports whether every component of v is exactly ±1.

@@ -106,7 +106,7 @@ func (c *Classifier) Fit(x [][]float64, labels []int) error {
 		if labels[i] < 0 || labels[i] >= c.cfg.Classes {
 			return fmt.Errorf("hdclass: label %d out of range [0,%d)", labels[i], c.cfg.Classes)
 		}
-		s, err := c.enc.EncodeBipolar(nil, row)
+		s, err := encoding.Bipolar(c.enc, nil, row)
 		if err != nil {
 			return fmt.Errorf("hdclass: encoding row %d: %w", i, err)
 		}
@@ -171,7 +171,7 @@ func (c *Classifier) Scores(x []float64) ([]float64, error) {
 	if !c.trained {
 		return nil, ErrNotTrained
 	}
-	s, err := c.enc.EncodeBipolar(nil, x)
+	s, err := encoding.Bipolar(c.enc, nil, x)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ func add(c *Counts, op hdc.Op, n uint64) { c[op] += n }
 
 // addEncode charges one nonlinear encoding of an n-feature input into D
 // dimensions, including the bipolar quantization (mirrors
-// encoding.Nonlinear.EncodeBipolar).
+// encoding.Nonlinear.EncodeInto with only the bipolar output).
 func addEncode(c *Counts, n, d uint64) {
 	add(c, hdc.OpFloatMul, n*d+d)
 	add(c, hdc.OpFloatAdd, n*d+d)
